@@ -292,10 +292,10 @@ def test_e1_sharded_serving_scaling(benchmark, smoke_mode):
         t_batched = time.perf_counter() - t0
 
         eng_s, window_s = _sharded_serving_world(n_devices)
-        eng_s.shard_runner = ShardedFleetRunner(workers=n_workers, backend="pickle")
-        t0 = time.perf_counter()
-        report_s = eng_s.serve_fleet("e1-sharded", window_s, engine="sharded")
-        t_sharded = time.perf_counter() - t0
+        with ShardedFleetRunner(workers=n_workers, backend="pickle") as eng_s.shard_runner:
+            t0 = time.perf_counter()
+            report_s = eng_s.serve_fleet("e1-sharded", window_s, engine="sharded")
+            t_sharded = time.perf_counter() - t0
 
         macs_b = {d: ledger.head_mac() for d, ledger in eng_b.ledgers.items()}
         macs_s = {d: ledger.head_mac() for d, ledger in eng_s.ledgers.items()}

@@ -368,10 +368,10 @@ def test_e6_sharded_round_scaling(benchmark, smoke_mode):
         t_batched = time.perf_counter() - t0
 
         eng_s = _mixed_engine_world(n_clients=n_clients)
-        eng_s.shard_runner = ShardedFleetRunner(workers=n_workers, backend="pickle")
-        t0 = time.perf_counter()
-        result_s = eng_s.run_round(0, engine="sharded")
-        t_sharded = time.perf_counter() - t0
+        with ShardedFleetRunner(workers=n_workers, backend="pickle") as eng_s.shard_runner:
+            t0 = time.perf_counter()
+            result_s = eng_s.run_round(0, engine="sharded")
+            t_sharded = time.perf_counter() - t0
 
         return {
             "n_clients": n_clients,

@@ -33,7 +33,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["QuotaGrant", "LedgerEntry", "UsageLedger", "QuotaExceededError", "PricingPlan", "entry_payload"]
+__all__ = [
+    "QuotaGrant",
+    "LedgerEntry",
+    "UsageLedger",
+    "LedgerHead",
+    "QuotaExceededError",
+    "PricingPlan",
+    "entry_payload",
+]
 
 
 class QuotaExceededError(RuntimeError):
@@ -174,6 +182,12 @@ class UsageLedger:
 
     GENESIS = "0" * 64
 
+    # Where this object's ``entries`` list starts in the device's chain.  A
+    # ledger holds the chain from genesis; only a :class:`LedgerHead`
+    # overrides these (per instance) with its parent's length and head MAC.
+    _base_index = 0
+    _base_mac = GENESIS
+
     def __init__(self, device_id: str, device_key: bytes) -> None:
         self.device_id = device_id
         self._key = bytes(device_key)
@@ -219,8 +233,8 @@ class UsageLedger:
     def _append_entry(self, grant_id: str, model_name: str, timestamp: Optional[float], count: int) -> LedgerEntry:
         self._clock += float(count)
         ts = timestamp if timestamp is not None else self._clock
-        prev_mac = self.entries[-1].mac if self.entries else self.GENESIS
-        index = len(self.entries)
+        prev_mac = self.head_mac()
+        index = self._base_index + len(self.entries)
         mac = self._next_mac(index, grant_id, model_name, ts, prev_mac, count)
         entry = LedgerEntry(
             index=index,
@@ -293,16 +307,24 @@ class UsageLedger:
     # -- shard segments ----------------------------------------------------
     def head_mac(self) -> str:
         """The chain head: the last entry's MAC, or GENESIS when empty."""
-        return self.entries[-1].mac if self.entries else self.GENESIS
+        return self.entries[-1].mac if self.entries else self._base_mac
+
+    def fork_head(self) -> "LedgerHead":
+        """A :class:`LedgerHead` of this ledger: all a worker needs to meter.
+
+        A sharded worker only ever calls :meth:`record_batch` and ships back
+        what it appended, so it gets the chain *head* — O(#grants) bytes
+        however long the history is — meters on it, and returns
+        ``head.export_segment(0)``; the parent re-chains that with
+        :meth:`append_segment`, which validates it exactly as it would a
+        segment metered on a full copy.
+        """
+        return LedgerHead(self)
 
     def export_segment(self, start: int) -> List[LedgerEntry]:
-        """The chain suffix appended since ``start`` entries existed.
-
-        A sharded worker meters against a pickled copy of this ledger and
-        ships back ``export_segment(base)`` where ``base`` was the copy's
-        entry count at dispatch; the parent re-chains it with
-        :meth:`append_segment`.
-        """
+        """The entries appended since this object held ``start`` of them
+        (on a :class:`LedgerHead`, ``export_segment(0)`` is everything
+        metered since the fork)."""
         if not 0 <= start <= len(self.entries):
             raise ValueError(f"segment start {start} outside chain of length {len(self.entries)}")
         return list(self.entries[start:])
@@ -363,3 +385,27 @@ class UsageLedger:
             "entries": [e.__dict__ for e in self.entries],
             "grants": {gid: g.__dict__ for gid, g in self.grants.items()},
         }
+
+
+class LedgerHead(UsageLedger):
+    """The head of a ledger's chain: device key, grants, per-grant usage,
+    clock, next index and head MAC — enough to *meter*, never to *audit*.
+
+    :meth:`record_batch` / :meth:`record_query` extend the parent's chain
+    byte-for-byte as the parent itself would have (``entries`` holds only
+    what was metered since :meth:`UsageLedger.fork_head`).  Everything that
+    needs the history raises, so a head can never pass for a ledger.
+    """
+
+    def __init__(self, ledger: UsageLedger) -> None:
+        super().__init__(ledger.device_id, ledger._key)
+        self.grants = dict(ledger.grants)
+        self._used_per_grant = dict(ledger._used_per_grant)
+        self._clock = ledger._clock
+        self._base_index = ledger._base_index + len(ledger.entries)
+        self._base_mac = ledger.head_mac()
+
+    def _needs_history(self, *args, **kwargs):
+        raise TypeError(f"ledger head of {self.device_id!r} holds no chain history")
+
+    used = append_segment = verify_chain = export = _needs_history

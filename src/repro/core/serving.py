@@ -463,10 +463,12 @@ class ServingEngine:
         identical reports, ledger/battery state and monitor histories.
         ``engine="sharded"`` partitions each window across ``workers``
         processes (a :class:`~repro.runtime.sharded.ShardedFleetRunner`;
-        assign :attr:`shard_runner` to customize backend/timeouts) and
+        assign :attr:`shard_runner` to customize backend/timeouts and to
+        keep its worker processes alive across calls — you then own its
+        ``close()``; a runner built here is closed before returning) and
         merges at a barrier, byte-identical to the batched path — falling
-        back to it single-process when the pool is unavailable or the
-        shards would be degenerate.  The boolean ``batched=`` keyword is a
+        back to it single-process when the shards would be degenerate.
+        The boolean ``batched=`` keyword is a
         deprecated alias (:mod:`repro.dispatch`).
         """
         engine = resolve_engine(
@@ -483,26 +485,30 @@ class ServingEngine:
 
             runner = self.shard_runner or ShardedFleetRunner(workers=workers)
         report = FleetServeReport(model_name=model_name)
-        for window in windows:
-            report.n_windows += 1
-            if self.fault_injector is not None:
-                # Partitioned devices' queries never arrive: drop them
-                # before engine dispatch (every engine sees the identical
-                # filtered window) and surface them as network_failures —
-                # requested, unserved, unbilled.
-                window, dropped = self.fault_injector.filter_window(dict(window))
-                for device_id, x in dropped.items():
-                    n = int(np.asarray(x).shape[0])
-                    if n:
-                        report.add_network_failure(device_id, n)
-            if runner is not None:
-                runner.serve_window(self, model_name, window, report, bits=32)
-            elif engine == ENGINE_BATCHED:
-                self._serve_fleet_window(model_name, window, report, bits=32)
-            else:
-                for device_id, x in window.items():
-                    if x.shape[0] == 0:
-                        continue
-                    report.add(self.serve_batch(device_id, model_name, x))
+        try:
+            for window in windows:
+                report.n_windows += 1
+                if self.fault_injector is not None:
+                    # Partitioned devices' queries never arrive: drop them
+                    # before engine dispatch (every engine sees the identical
+                    # filtered window) and surface them as network_failures —
+                    # requested, unserved, unbilled.
+                    window, dropped = self.fault_injector.filter_window(dict(window))
+                    for device_id, x in dropped.items():
+                        n = int(np.asarray(x).shape[0])
+                        if n:
+                            report.add_network_failure(device_id, n)
+                if runner is not None:
+                    runner.serve_window(self, model_name, window, report, bits=32)
+                elif engine == ENGINE_BATCHED:
+                    self._serve_fleet_window(model_name, window, report, bits=32)
+                else:
+                    for device_id, x in window.items():
+                        if x.shape[0] == 0:
+                            continue
+                        report.add(self.serve_batch(device_id, model_name, x))
+        finally:
+            if runner is not None and runner is not self.shard_runner:
+                runner.close()  # a runner built for this call owns processes
         report.devices_with_drift = sum(1 for m in self.monitors.values() if m.any_drift())
         return report

@@ -30,10 +30,13 @@ kind                   effect
 ``duplicate``          the delivery succeeds but the uplink carries the
                        payload twice (dedup keeps aggregation exact;
                        bytes are billed)
-``worker raise/exit``  a shard worker process dies mid-task; the sharded
-                       runner retries, then re-executes in-process
-``hung shard``         a shard worker sleeps past the pool deadline;
-                       recovered exactly like a death
+``worker raise/exit``  a shard worker raises or dies mid-task; the sharded
+                       runner sees it at once (failure reply / pipe EOF +
+                       process sentinel), retries — on a fresh worker
+                       after a death — then re-executes in-process
+``hung shard``         a shard worker sleeps past the runner's
+                       ``timeout_s``; killed, then recovered exactly like
+                       a death (the one fault that pays the deadline)
 ``round_interrupt``    the coordinator crashes between cohort sweeps; a
                        :class:`RoundCheckpoint` resumes the round
                        byte-identically
@@ -94,7 +97,13 @@ Environment variables (the one place they are documented)
 ``REPRO_SHARD_FAULT``
     Env-driven worker fault for the sharded runtime, spelled
     ``"<shard>:<raise|hang|exit>[:any]"`` (``repro.runtime.sharded``).
-    It predates the fault plane and remains supported for one-off
+    The *parent* reads it at every sharded dispatch and ships it in the
+    matching shard's task payload, beside the plan fault — the runner's
+    worker processes are long-lived, so their own ``os.environ`` is
+    whatever it was when they were forked; setting or clearing the
+    variable between two windows of one runner takes effect on the next
+    window.  Without ``:any`` it fires only in worker processes.  It
+    predates the fault plane and remains supported for one-off
     debugging; plan-driven shard faults (:meth:`FaultPlan.generate`
     ``worker_fault`` rate, shipped per-payload by the runner) are the
     replayable spelling.

@@ -1335,7 +1335,9 @@ class FederatedEngine:
         equivalence and performance baseline; ``engine="sharded"``
         distributes the batched cohorts across ``workers`` processes (a
         :class:`~repro.runtime.sharded.ShardedFleetRunner`; assign
-        :attr:`shard_runner` to customize backend/timeouts) and merges the
+        :attr:`shard_runner` to customize backend/timeouts and to reuse its
+        worker processes across rounds — you then own its ``close()``; a
+        runner built here is closed before returning) and merges the
         delta stack at a barrier, byte-identical to the batched path
         (:mod:`repro.dispatch`).
 
@@ -1404,7 +1406,11 @@ class FederatedEngine:
             checkpoint = self._checkpoint_for(round_index, plan)
             self.checkpoints.put(checkpoint)
         if runner is not None and checkpoint is None:
-            deltas, losses, accs, shard_recoveries = runner.collect_deltas(self, contributors)
+            try:
+                deltas, losses, accs, shard_recoveries = runner.collect_deltas(self, contributors)
+            finally:
+                if runner is not self.shard_runner:
+                    runner.close()  # a runner built for this call owns processes
         else:
             deltas, losses, accs = self._collect_deltas(
                 contributors, round_index=round_index, checkpoint=checkpoint

@@ -3,7 +3,7 @@
 Closes ROADMAP item 2: after the columnar :class:`~repro.devices.FleetState`
 redesign made fleet state ~16 NumPy planes, this module partitions those
 planes into per-worker shards, runs the *batched* single-process engines
-independently per shard on a :mod:`multiprocessing` pool, and merges the
+independently per shard in the runner's worker processes, and merges the
 results at a barrier so the outcome is **byte-identical** to
 ``engine="batched"`` — which stays the in-process oracle (and itself stays
 equivalent to ``engine="oracle"``, the scalar loop).
@@ -19,14 +19,14 @@ per-row closed form, compiled-plan ``run_many`` is per-window exact, and
 
 * MAC-chained ledger segments are re-chained in shard order via
   :meth:`~repro.billing.UsageLedger.append_segment` (each worker metered
-  against a copy of the parent ledger, so its segment is a valid chain
-  extension of the parent head);
+  on the parent ledger's :meth:`~repro.billing.UsageLedger.fork_head`, so
+  its segment is a valid chain extension of the parent head — and is
+  validated as one, entry by entry, before the first append);
 * drift events / telemetry come home as whole updated monitor objects,
   re-installed in canonical device order (each device's monitor observed
   exactly the slice the batched sweep would have fed it);
 * battery/counter planes merge back via
-  :meth:`~repro.devices.FleetState.merge_rows` (or are written in place by
-  the ``shared`` backend).
+  :meth:`~repro.devices.FleetState.merge_rows`.
 
 *Federated* (``run_round``): work is distributed at **cohort granularity** —
 each homogeneous cohort's :func:`~repro.federated.engine.train_clients_batched`
@@ -39,50 +39,77 @@ indices, and the aggregation that follows (NumPy's pairwise-stable
 summation inside the aggregator) runs in the parent on the merged stack —
 bitwise the same stack the batched path builds.
 
-Backends (``backend=`` kwarg)
------------------------------
-``"pickle"``   chunked pickling over a process pool: each worker receives a
-               pickled sub-store (:meth:`FleetState.extract_rows`) plus
-               deep-copied ledgers/monitors, and ships results back.
-               Portable to any start method.
-``"shared"``   shared-memory NumPy views: the serving-mutable planes
-               (``level_j``, ``query_count``) are rebound onto anonymous
-               shared ``mmap`` buffers before the pool forks, so workers
-               write admission results in place and nothing but results /
-               ledger segments / monitors travels back.  Requires the
-               ``fork`` start method; degrades to ``"pickle"`` elsewhere.
+Backends (``backend=`` kwarg) and what ships per shard
+------------------------------------------------------
+``"pickle"``   the pooled path.  Each shard's payload travels down its
+               worker's pipe: a sub-store (:meth:`FleetState.extract_rows`,
+               ~130 B/device), the window's inputs, the model, the shard's
+               monitors, and one :class:`~repro.billing.LedgerHead` per
+               ledger — device key, grants, per-grant usage, clock, next
+               index, head MAC; ~290 B however long the chain is.  Back
+               come the results, the appended ledger segments, the updated
+               monitors and the mutated sub-store.  The pickle *is* the
+               isolation copy; nothing the window mutates is deep-copied
+               parent-side.  On e0's aged 300-device world that is 1.8 MB
+               down and 1.3 MB up per shard — 87 KB of heads per window
+               where whole ledgers were 1.46 MB and growing with every
+               window ever served.  What is left is the monitors: 1.2 MB
+               per shard each way (15 monitors' KS reference windows).
 ``"inline"``   the full shard/split/merge machinery executed in-process —
-               no pool.  Exists so differential and property tests can
+               no workers.  Exists so differential and property tests can
                exercise shard semantics deterministically and cheaply; it
-               must be (and is asserted) byte-identical to the pooled
-               backends.
-``"auto"``     ``"pickle"`` when a pool is available, else ``"inline"``.
+               must be (and is asserted) byte-identical to the pooled path.
+               Parent and "worker" share an address space here, so the
+               task deep-copies its monitors before observing on them.
+``"auto"``     the pooled path (the default).
+``"shared"``   retired: the shared-``mmap`` plane backend needed a fork per
+               window, saved 19 KB of a 1.8 MB payload and measured slower
+               than ``"pickle"``.  The spelling is still accepted and
+               resolves to the pooled path, as it always did on hosts
+               without ``fork``.
+
+Worker lifetime
+---------------
+A runner *owns* its worker processes.  The first pooled dispatch starts
+them (daemonic, ``fork`` context where available, else the platform
+default), each on its own :func:`multiprocessing.Pipe`; every later
+``serve_window`` / ``collect_deltas`` of that runner reuses them.  Workers
+are stateless between tasks — ``(task, payload)`` in, result out — so no
+window can see another's world.  :meth:`ShardedFleetRunner.close` (or
+``with``, or dropping the last reference) kills and reaps them; the runner
+``serve_fleet`` / ``run_round`` build when no ``shard_runner`` is assigned
+is closed before the call returns.  A closed runner restarts its workers
+on its next pooled dispatch.
 
 Fault tolerance — never a partial merge
 ---------------------------------------
 Workers can raise, hang or die mid-task.  The runner collects *all* shard
-results before any merge: a failed/hung/killed shard is retried once on a
-fresh pool (``retries=``), then re-executed deterministically in-process.
-Only when every shard has a result does the barrier merge run; recovered
-shards are counted in the caller's report/result
-(``FleetServeReport.shard_recoveries`` / ``RoundResult.shard_recoveries``).
-If even the in-process re-execution raises (a genuinely poisoned shard),
-the exception propagates with the parent's ledgers, monitors and planes
-untouched (the ``shared`` backend restores its plane snapshot first).
+results before any merge, waiting on the result pipes **and** the process
+sentinels: a worker that died is seen within milliseconds, one that raised
+answers with its failure and is reused, and only a genuine hang pays
+``timeout_s``.  Dead and hung workers are killed and replaced by fresh
+ones for the retry pass (``retries=``); a shard that still has no result
+is re-executed deterministically in-process.  Only when every shard has a
+result does the barrier merge run; recovered shards are counted in the
+caller's report/result (``FleetServeReport.shard_recoveries`` /
+``RoundResult.shard_recoveries``).  If even the in-process re-execution
+raises (a genuinely poisoned shard), the exception propagates with the
+parent's ledgers, monitors and planes untouched.
 
 Fault injection comes in two spellings (both documented centrally in the
 :mod:`repro.faults` package docstring): the env hook
 ``REPRO_SHARD_FAULT="<shard>:<mode>[:any]"`` with mode ``raise`` /
 ``hang`` / ``exit`` (one-off debugging; without the ``:any`` scope the
-fault only fires inside pool workers, so in-process recovery succeeds),
-and the replayable plan-driven spelling — construct the runner with
+fault only fires inside workers, so in-process recovery succeeds), and
+the replayable plan-driven spelling — construct the runner with
 ``fault_injector=`` and the :class:`~repro.faults.FaultPlan`'s
-``shard_faults`` events ship inside the task payloads, firing in the
-matching pooled dispatch's workers.  A ``retry_policy=`` additionally
-makes the retry passes wait out the policy's seeded exponential backoff
-(and caps the pass count / total deadline), the same
-:class:`~repro.faults.RetryPolicy` contract client delta delivery
-simulates.
+``shard_faults`` events fire in the matching pooled dispatch's workers.
+Both are resolved parent-side at dispatch and travel in the task payload,
+so the env hook is read when the window is served, not when a long-lived
+worker was forked.  A ``retry_policy=`` additionally makes the retry
+passes wait out the policy's seeded exponential backoff (and caps the
+pass count / total deadline), the same :class:`~repro.faults.RetryPolicy`
+contract client delta delivery simulates.
 
 ``workers=`` resolution order: explicit argument, else the
 ``REPRO_TEST_WORKERS`` environment variable, else ``os.cpu_count()``.
@@ -91,11 +118,13 @@ simulates.
 from __future__ import annotations
 
 import copy
-import mmap
 import multiprocessing as mp
 import os
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+import weakref
+from collections import deque
+from multiprocessing.connection import Connection, wait
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,14 +134,6 @@ FAULT_ENV = "REPRO_SHARD_FAULT"
 WORKERS_ENV = "REPRO_TEST_WORKERS"
 
 _BACKENDS = ("auto", "pickle", "shared", "inline")
-
-# Planes serve-sweeps mutate; the shared backend rebinds exactly these onto
-# anonymous shared mmap buffers (and snapshots them for fault recovery).
-_SHARED_SERVE_PLANES = ("level_j", "query_count")
-
-# Parent-side FleetState inherited by fork()ed pool workers of the shared
-# backend (set immediately before the pool is created, cleared after).
-_SHARED_STATE = None
 
 
 def shard_row_groups(n_items: int, workers: int) -> List[np.ndarray]:
@@ -135,38 +156,34 @@ def _env_workers() -> int:
         return 0
 
 
-def _apply_fault_mode(mode: str, shard_index: int) -> None:
-    if mode == "raise":
-        raise RuntimeError(f"injected fault in shard {shard_index}")
-    if mode == "hang":
-        time.sleep(3600.0)
-        return
-    if mode == "exit":
-        os._exit(13)
-    raise ValueError(f"unknown shard fault mode {mode!r}")
+def _env_fault() -> Optional[Tuple[int, str, bool]]:
+    """The REPRO_SHARD_FAULT hook as ``(shard, mode, fires in the parent too)``."""
+    parts = os.environ.get(FAULT_ENV, "").split(":")
+    if len(parts) < 2:
+        return None
+    return int(parts[0]), parts[1], len(parts) > 2 and parts[2] != "worker"
 
 
-def _maybe_inject_fault(shard_index: int, parent_pid: int, fault: Optional[str] = None) -> None:
-    """Honor shard fault injection: the plan-driven ``fault`` payload field
-    first, then the REPRO_SHARD_FAULT env hook (no-op when both are unset).
+def _inject_faults(payload: Dict[str, object]) -> None:
+    """Fire the faults the parent stamped on this payload (``_attach_faults``).
 
-    Both spellings fire only inside pool workers (plan faults model
-    *worker* deaths — the deterministic in-process re-execution must
-    succeed, which is exactly what makes faulty runs byte-identical to
-    clean ones); the env hook's ``:any`` scope can opt out for tests.
+    Plan faults model *worker* deaths, so they — like the env hook without
+    its ``:any`` scope — fire only outside the parent process: the
+    deterministic in-process re-execution must succeed, which is exactly
+    what makes faulty runs byte-identical to clean ones.
     """
-    if fault is not None and os.getpid() != parent_pid:
-        _apply_fault_mode(fault, shard_index)
-    spec = os.environ.get(FAULT_ENV, "")
-    if not spec:
-        return
-    parts = spec.split(":")
-    if len(parts) < 2 or int(parts[0]) != shard_index:
-        return
-    scope = parts[2] if len(parts) > 2 else "worker"
-    if scope == "worker" and os.getpid() == parent_pid:
-        return  # only poison pool workers; in-process recovery succeeds
-    _apply_fault_mode(parts[1], shard_index)
+    in_parent = os.getpid() == payload["parent_pid"]
+    for mode, in_parent_too in payload.get("faults", ()):  # type: ignore[union-attr]
+        if in_parent and not in_parent_too:
+            continue
+        if mode == "raise":
+            raise RuntimeError(f"injected fault in shard {payload['shard_index']}")
+        if mode == "hang":
+            time.sleep(3600.0)
+        elif mode == "exit":
+            os._exit(13)
+        else:
+            raise ValueError(f"unknown shard fault mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,26 +193,28 @@ def _maybe_inject_fault(shard_index: int, parent_pid: int, fault: Optional[str] 
 
 def _serve_shard_task(payload: Dict[str, object]) -> Dict[str, object]:
     """One serving shard: run the batched fleet-window sweep on a sub-world."""
-    _maybe_inject_fault(payload["shard_index"], payload["parent_pid"], payload.get("fault"))  # type: ignore[arg-type]
+    _inject_faults(payload)
     from repro.core.serving import FleetServeReport, ServingEngine
     from repro.devices.fleet import Fleet
 
-    state = payload["state"]
-    if state is None:  # shared backend: the fork()ed parent store, planes in shm
-        state = _SHARED_STATE
-    fleet = Fleet.from_state(state)
+    monitors = payload["monitors"]
+    if os.getpid() == payload["parent_pid"]:
+        # Inline backend or in-process recovery: these *are* the parent's
+        # monitors, and the barrier merge must stay the only thing that
+        # touches the parent world.  (A worker's unpickled payload is
+        # already a private copy; ledger heads and the sub-store always are.)
+        monitors = copy.deepcopy(monitors)
     engine = ServingEngine(
-        fleet,
+        Fleet.from_state(payload["state"]),
         cost_model=payload["cost_model"],
         models=payload["models"],
         ledgers=payload["ledgers"],
-        monitors=payload["monitors"],
+        monitors=monitors,
     )
     model_name: str = payload["model_name"]  # type: ignore[assignment]
     if payload["plan_options"] is not None:
         pipeline, apply_quantization = payload["plan_options"]  # type: ignore[misc]
         engine.compile_model(model_name, pipeline=pipeline, apply_quantization=apply_quantization)
-    ledger_base = {device_id: len(ledger.entries) for device_id, ledger in engine.ledgers.items()}
     report = FleetServeReport(model_name=model_name)
     results = engine._serve_fleet_window(
         model_name, dict(payload["items"]), report, bits=payload["bits"]  # type: ignore[arg-type]
@@ -204,17 +223,16 @@ def _serve_shard_task(payload: Dict[str, object]) -> Dict[str, object]:
         "shard_index": payload["shard_index"],
         "results": results,
         "ledger_segments": {
-            device_id: ledger.export_segment(ledger_base[device_id])
-            for device_id, ledger in engine.ledgers.items()
+            device_id: head.export_segment(0) for device_id, head in engine.ledgers.items()
         },
         "monitors": dict(engine.monitors),
-        "state": payload["state"],  # the mutated sub-store (None on shared)
+        "state": payload["state"],  # the mutated sub-store
     }
 
 
 def _train_shard_task(payload: Dict[str, object]) -> Dict[str, object]:
     """One federated shard: a whole batched cohort trained in lock-step."""
-    _maybe_inject_fault(payload["shard_index"], payload["parent_pid"], payload.get("fault"))  # type: ignore[arg-type]
+    _inject_faults(payload)
     from repro.federated.engine import train_clients_batched
 
     deltas, losses, accs = train_clients_batched(payload["model"], payload["clients"])
@@ -228,42 +246,41 @@ def _train_shard_task(payload: Dict[str, object]) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# shared-memory plane handle (fork backend)
+# shard workers
 # ---------------------------------------------------------------------------
 
 
-class _SharedServePlanes:
-    """Rebind the serve-mutable planes onto anonymous shared mmap buffers.
+class _Worker(NamedTuple):
+    process: mp.process.BaseProcess
+    conn: Connection  # the parent's end of the worker's pipe
 
-    Created *before* the pool forks so workers inherit the buffers; rows are
-    shard-disjoint, so concurrent writes never race.  Keeps a private
-    snapshot for fault recovery, and :meth:`close` copies the final values
-    back into ordinary private arrays.
-    """
 
-    def __init__(self, state) -> None:
-        self.state = state
-        self.snapshots = {p: getattr(state, p).copy() for p in _SHARED_SERVE_PLANES}
-        self._maps: List[mmap.mmap] = []
-        for plane in _SHARED_SERVE_PLANES:
-            src = getattr(state, plane)
-            buf = mmap.mmap(-1, max(src.nbytes, 1))  # MAP_SHARED | MAP_ANONYMOUS
-            arr = np.frombuffer(buf, dtype=src.dtype, count=src.size).reshape(src.shape)
-            arr[:] = src
-            setattr(state, plane, arr)
-            self._maps.append(buf)
+def _worker_main(conn: Connection, inherited: Sequence[Connection]) -> None:
+    """A shard worker: ``(task_fn, payload)`` in, the result dict (``None``
+    when the task raised) out, until the parent closes the pipe."""
+    for parent_end in inherited:  # fork()ed copies; held open they would mask EOFs
+        parent_end.close()
+    while True:
+        try:
+            task_fn, payload = conn.recv()
+        except EOFError:
+            return
+        try:
+            result = task_fn(payload)
+        except Exception:
+            result = None  # the parent's in-process re-execution surfaces it
+        conn.send(result)
+        del task_fn, payload, result  # hold nothing between tasks
 
-    def restore_rows(self, rows: np.ndarray) -> None:
-        """Reset the given rows to their pre-dispatch values."""
-        for plane in _SHARED_SERVE_PLANES:
-            getattr(self.state, plane)[rows] = self.snapshots[plane][rows]
 
-    def close(self) -> None:
-        """Copy final values back into private arrays and release the maps."""
-        for plane in _SHARED_SERVE_PLANES:
-            setattr(self.state, plane, np.array(getattr(self.state, plane), copy=True))
-        for buf in self._maps:
-            buf.close()
+def _reap(workers: List[_Worker]) -> None:
+    """Kill and join ``workers`` (stateless, so there is nothing to flush)."""
+    while workers:
+        process, conn = workers.pop()
+        process.kill()
+        process.join()
+        process.close()
+        conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +298,17 @@ class ShardedFleetRunner:
         ``os.cpu_count()``.  The effective count is capped by the number of
         shardable items.
     backend:
-        ``"auto"`` / ``"pickle"`` / ``"shared"`` / ``"inline"`` (module
-        docstring).  ``"shared"`` only affects serving sweeps; federated
-        cohort tasks always travel by pickle (they carry no plane writes).
+        ``"inline"`` runs every shard in-process; ``"auto"`` / ``"pickle"``
+        / ``"shared"`` all mean the pooled path (module docstring).  Read
+        at each dispatch, so it may be reassigned between windows.
     timeout_s:
-        Per-dispatch deadline for collecting pool results; a shard that
-        produced nothing by then (hung or killed worker) is recovered.
+        Per-pass deadline for collecting worker results; a shard whose
+        worker is still silent by then (hung) is recovered.  A worker that
+        *died* is detected at once and never waits this out.
     retries:
-        How many fresh-pool retry passes failed shards get before the
-        deterministic in-process fallback (0 goes straight to in-process).
+        How many retry passes (on fresh workers where the old ones died or
+        hung) failed shards get before the deterministic in-process
+        fallback (0 goes straight to in-process).
     retry_policy:
         Optional :class:`repro.faults.RetryPolicy` governing shard
         re-execution: its ``max_attempts`` overrides ``retries`` (total
@@ -299,8 +318,8 @@ class ShardedFleetRunner:
     fault_injector:
         Optional :class:`repro.faults.FaultInjector`; each pooled
         dispatch draws its plan-scheduled worker faults and ships them in
-        the task payloads (fires in pool workers only — recovery keeps
-        results byte-identical, so fault-plan runs merge the same bytes).
+        the task payloads (fires in workers only — recovery keeps results
+        byte-identical, so fault-plan runs merge the same bytes).
     durable_store:
         Optional :class:`repro.faults.durable.DurableCheckpointStore`; the
         parent journals every serving barrier merge through it
@@ -329,17 +348,57 @@ class ShardedFleetRunner:
         self.retry_policy = retry_policy
         self.fault_injector = fault_injector
         self.durable_store = durable_store
+        # Started by the first pooled dispatch, reused by every later one.
+        self._workers: List[_Worker] = []
+        weakref.finalize(self, _reap, self._workers)
+
+    # -- worker lifetime -------------------------------------------------
+    def close(self) -> None:
+        """Kill and reap this runner's worker processes (idempotent)."""
+        _reap(self._workers)
+
+    def __enter__(self) -> "ShardedFleetRunner":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _retire(self, worker: _Worker) -> None:
+        self._workers.remove(worker)
+        _reap([worker])
+
+    def _live_workers(self, count: int) -> List[_Worker]:
+        """``count`` idle workers, replacing the dead and starting the missing."""
+        for worker in [w for w in self._workers if not w.process.is_alive()]:
+            self._retire(worker)
+        while len(self._workers) < count:
+            ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
+            parent_end, child_end = ctx.Pipe()
+            inherited = [w.conn for w in self._workers] + [parent_end]
+            process = ctx.Process(target=_worker_main, args=(child_end, inherited), daemon=True)
+            process.start()
+            child_end.close()  # the worker's death must read as EOF here
+            self._workers.append(_Worker(process, parent_end))
+        return self._workers[:count]
 
     def _attach_faults(self, scope: str, payloads: Sequence[Dict[str, object]]) -> None:
-        """Stamp each payload with its plan-scheduled fault (or nothing)."""
+        """Stamp each payload with the faults it must fire: ``(mode, fires in
+        the parent process too)`` for its plan-scheduled worker fault and for
+        the env hook, both resolved here, parent-side, at dispatch."""
         inj = self.fault_injector
-        if inj is None:
-            return
-        dispatch = inj.next_dispatch(scope)
+        dispatch = inj.next_dispatch(scope) if inj is not None else None
+        env = _env_fault()
         for payload in payloads:
-            fault = inj.shard_fault(scope, dispatch, payload["shard_index"])  # type: ignore[arg-type]
-            if fault is not None:
-                payload["fault"] = fault
+            shard_index: int = payload["shard_index"]  # type: ignore[assignment]
+            faults = []
+            if inj is not None:
+                planned = inj.shard_fault(scope, dispatch, shard_index)
+                if planned is not None:
+                    faults.append((planned, False))
+            if env is not None and env[0] == shard_index:
+                faults.append(env[1:])
+            if faults:
+                payload["faults"] = faults
 
     # -- resolution ------------------------------------------------------
     def resolve_workers(self, n_items: int) -> int:
@@ -348,51 +407,88 @@ class ShardedFleetRunner:
             workers = _env_workers() or os.cpu_count() or 1
         return max(1, min(int(workers), max(n_items, 1)))
 
-    @staticmethod
-    def _fork_available() -> bool:
-        return "fork" in mp.get_all_start_methods()
-
-    def _resolve_backend(self) -> str:
-        """The effective backend for a pooled dispatch."""
-        if self.backend == "inline":
-            return "inline"
-        try:
-            mp.get_context()  # a context at all
-        except Exception:  # pragma: no cover - exotic platforms
-            return "inline"
-        if self.backend == "shared":
-            return "shared" if self._fork_available() else "pickle"
-        return "pickle"
-
-    def _mp_context(self):
-        return mp.get_context("fork") if self._fork_available() else mp.get_context()
-
     # -- generic dispatch ------------------------------------------------
+    def _dispatch(
+        self,
+        indices: Sequence[int],
+        payloads: Sequence[Dict[str, object]],
+        task_fn: Callable[[Dict[str, object]], Dict[str, object]],
+        results: List[Optional[Dict[str, object]]],
+    ) -> List[int]:
+        """One pass of ``indices`` over the workers; fills ``results`` and
+        returns the shards still without one.
+
+        A worker gets its next payload when its previous result is in.  The
+        wait covers result pipes and process sentinels, so a death ends the
+        wait at once; workers still silent at the pass deadline are hung.
+        Dead and hung workers are retired (the next pass starts fresh ones);
+        a worker that answered — with a result or a failure — is reused.
+        """
+        idle = self._live_workers(self.resolve_workers(len(indices)))
+        queue = deque(indices)
+        busy: Dict[_Worker, int] = {}
+        failed: List[int] = []
+        deadline = time.monotonic() + self.timeout_s
+        try:
+            while True:
+                while queue and idle:
+                    worker, i = idle.pop(), queue.popleft()
+                    try:
+                        worker.conn.send((task_fn, payloads[i]))
+                    except OSError:  # died since _live_workers looked
+                        self._retire(worker)
+                        failed.append(i)
+                    else:
+                        busy[worker] = i
+                if not busy:
+                    break  # all answered, or no worker left to take the queue
+                ready = wait(
+                    [w.conn for w in busy] + [w.process.sentinel for w in busy],
+                    timeout=max(0.0, deadline - time.monotonic()),
+                )
+                if not ready:
+                    break  # hung: ``finally`` retires whoever is still busy
+                for worker in [w for w in busy if w.conn in ready or w.process.sentinel in ready]:
+                    i = busy.pop(worker)
+                    result = None
+                    answered = worker.conn in ready
+                    if answered:
+                        try:
+                            result = worker.conn.recv()
+                        except (EOFError, OSError):  # died mid-task: the pipe read EOF
+                            answered = False
+                    if answered:
+                        idle.append(worker)
+                    else:
+                        self._retire(worker)
+                    if result is None:
+                        failed.append(i)
+                    else:
+                        results[i] = result
+        finally:
+            for worker, i in busy.items():
+                self._retire(worker)
+                failed.append(i)
+        return sorted(failed + list(queue))
+
     def _run_shards(
         self,
         payloads: Sequence[Dict[str, object]],
         task_fn: Callable[[Dict[str, object]], Dict[str, object]],
         pooled: bool,
-        inline_prep: Optional[Callable[[Dict[str, object]], Dict[str, object]]] = None,
-        on_retry: Optional[Callable[[List[int]], None]] = None,
     ) -> Tuple[List[Dict[str, object]], Tuple[int, ...]]:
         """Run one payload per shard; return (results in shard order, recovered).
 
-        All shards produce a result before this returns — pool failures
-        (exceptions, hangs, killed workers) drain through one fresh-pool
-        retry pass per ``retries`` and finally the deterministic in-process
-        fallback.  An in-process failure propagates, leaving the caller's
-        world unmerged.  ``on_retry`` runs after each pool teardown with the
-        still-failed shard indices (the shared backend restores planes
-        there); ``inline_prep`` rewrites a payload for in-process execution.
+        All shards produce a result before this returns — worker failures
+        (exceptions, hangs, deaths) drain through one retry pass per
+        ``retries`` and finally the deterministic in-process fallback.  An
+        in-process failure propagates, leaving the caller's world unmerged.
         """
         n = len(payloads)
-        results: List[Optional[Dict[str, object]]] = [None] * n
         if not pooled or n < 2:
-            prep = inline_prep or (lambda p: p)
-            return [task_fn(prep(p)) for p in payloads], ()
+            return [task_fn(p) for p in payloads], ()
 
-        ctx = self._mp_context()
+        results: List[Optional[Dict[str, object]]] = [None] * n
         failed = list(range(n))
         recovered: List[int] = []
         policy = self.retry_policy
@@ -405,32 +501,13 @@ class ShardedFleetRunner:
                 if time.monotonic() - started > policy.deadline_s:
                     break  # deadline budget spent: straight to in-process
                 time.sleep(policy.backoff_s(attempt - 1, seed=attempt - 1))
-            pool = ctx.Pool(processes=min(self.resolve_workers(len(failed)), len(failed)))
-            try:
-                handles = [(i, pool.apply_async(task_fn, (payloads[i],))) for i in failed]
-                deadline = time.monotonic() + self.timeout_s
-                still: List[int] = []
-                for i, handle in handles:
-                    remaining = max(0.05, deadline - time.monotonic())
-                    try:
-                        results[i] = handle.get(remaining)
-                    except Exception:
-                        # Raised in the worker, timed out (hung), or the
-                        # worker died and the task never produced a result.
-                        still.append(i)
-            finally:
-                pool.terminate()
-                pool.join()
+            still = self._dispatch(failed, payloads, task_fn, results)
             if attempt > 0:
                 recovered.extend(i for i in failed if i not in still)
             failed = still
-            if failed and on_retry is not None:
-                on_retry(failed)
-        if failed:
-            prep = inline_prep or (lambda p: p)
-            for i in failed:
-                results[i] = task_fn(prep(payloads[i]))  # in-process; raises propagate
-            recovered.extend(failed)
+        for i in failed:
+            results[i] = task_fn(payloads[i])  # in-process; raises propagate
+        recovered.extend(failed)
         return results, tuple(sorted(recovered))  # type: ignore[return-value]
 
     # -- serving ---------------------------------------------------------
@@ -451,7 +528,6 @@ class ShardedFleetRunner:
         compiled plan whose lowering options were not recorded) fall back to
         the single-process sweep directly.
         """
-        global _SHARED_STATE
         items: List[Tuple[str, np.ndarray]] = []
         for device_id, x in window.items():
             x = np.asarray(x)
@@ -467,16 +543,14 @@ class ShardedFleetRunner:
         if workers < 2 or n < 2 or plan_unreplayable:
             engine._serve_fleet_window(model_name, dict(items), report, bits=bits)
             return
-        mode = self.backend if self.backend == "inline" else self._resolve_backend()
-        if mode == "inline" and self.backend != "inline":
-            # No usable pool: graceful single-process fallback.
-            engine._serve_fleet_window(model_name, dict(items), report, bits=bits)
-            return
 
         state = engine.fleet.state
         model = engine.models[model_name]
-        plan_options = engine._plan_options.get(model_name) if model_name in engine.plans else None
-        shared = _SharedServePlanes(state) if mode == "shared" else None
+        # The recorded lowering recipe may hold a caller's own PassPipeline;
+        # shards (which re-run it, some of them in this process) get a copy.
+        plan_options = None
+        if model_name in engine.plans:
+            plan_options = copy.deepcopy(engine._plan_options.get(model_name))
         groups = shard_row_groups(n, workers)
         payloads: List[Dict[str, object]] = []
         shard_rows: List[np.ndarray] = []
@@ -494,52 +568,21 @@ class ShardedFleetRunner:
                     "cost_model": engine.cost_model,
                     "models": {model_name: model},
                     "plan_options": plan_options,
-                    # Deep copies: workers get pickled copies anyway; the
-                    # inline backend must mutate copies too so the merge
-                    # below is the only thing that touches the parent world.
-                    "ledgers": copy.deepcopy(
-                        {d: engine.ledgers[d] for d in ids if d in engine.ledgers}
-                    ),
-                    "monitors": copy.deepcopy(
-                        {d: engine.monitors[d] for d in ids if d in engine.monitors}
-                    ),
-                    "state": None if mode == "shared" else state.extract_rows(rows),
-                    "rows": rows,
+                    # Chain heads, not histories: what travels is O(window),
+                    # not O(everything the fleet ever metered).
+                    "ledgers": {
+                        d: engine.ledgers[d].fork_head() for d in ids if d in engine.ledgers
+                    },
+                    # The parent's own objects: pickling (or the task's deep
+                    # copy when it runs in this process) isolates them.
+                    "monitors": {d: engine.monitors[d] for d in ids if d in engine.monitors},
+                    "state": state.extract_rows(rows),
                 }
             )
-
-        def inline_prep(payload: Dict[str, object]) -> Dict[str, object]:
-            if payload["state"] is None:  # shared shard recovered in-process
-                assert shared is not None
-                shared.restore_rows(payload["rows"])  # type: ignore[arg-type]
-                payload = dict(payload)
-                payload["state"] = state.extract_rows(payload["rows"])  # type: ignore[arg-type]
-            return payload
-
-        def on_retry(failed: List[int]) -> None:
-            if shared is not None:  # undo partial writes of dead workers
-                for i in failed:
-                    shared.restore_rows(shard_rows[i])
-
         self._attach_faults("serve", payloads)
-        if mode == "shared":
-            _SHARED_STATE = state  # inherited by the fork()ed pool workers
-        try:
-            task_results, recovered = self._run_shards(
-                payloads,
-                _serve_shard_task,
-                pooled=mode != "inline",
-                inline_prep=inline_prep,
-                on_retry=on_retry,
-            )
-        except Exception:
-            if shared is not None:
-                shared.restore_rows(np.concatenate(shard_rows))
-            raise
-        finally:
-            _SHARED_STATE = None
-            if shared is not None:
-                shared.close()
+        task_results, recovered = self._run_shards(
+            payloads, _serve_shard_task, pooled=self.backend != "inline"
+        )
 
         # Barrier merge, in shard (= canonical window) order.  Nothing above
         # touched the parent world, so a raise before this point is clean.
@@ -566,9 +609,7 @@ class ShardedFleetRunner:
                 },
             )
         for shard_index, task_result in enumerate(task_results):
-            sub_state = task_result["state"]
-            if sub_state is not None:
-                state.merge_rows(sub_state, shard_rows[shard_index])
+            state.merge_rows(task_result["state"], shard_rows[shard_index])
             for device_id, segment in task_result["ledger_segments"].items():  # type: ignore[union-attr]
                 if segment:
                     engine.ledgers[device_id].append_segment(segment)
@@ -614,8 +655,7 @@ class ShardedFleetRunner:
         recovered: Tuple[int, ...] = ()
         if batched_cohorts:
             workers = self.resolve_workers(len(batched_cohorts))
-            mode = self.backend if self.backend == "inline" else self._resolve_backend()
-            pooled = mode != "inline" and workers >= 2 and len(batched_cohorts) >= 2
+            pooled = self.backend != "inline" and workers >= 2
             payloads = [
                 {
                     "shard_index": shard_index,
