@@ -9,11 +9,18 @@ Perf guardrail: ``test_e4_batched_monitoring_speedup`` pits the one-sweep
 fleet monitoring plane (vectorized column detectors + FleetMonitor) against
 the seed-era per-device / per-column path on a 100-device fleet and must
 stay >= 10x with identical drift decisions and byte-equal telemetry.
+``test_e4_sketch_update_cost`` records the absolute per-observation cost of
+the scalar-state P² kernel and the per-device-window cost of
+``TelemetryRecorder.record_batch`` against the formulations they replaced
+(kept as oracles in ``tests/observability/test_sketch_kernels.py``); P² must
+stay >= 3x cheaper than the ndarray oracle, marker for marker.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +32,17 @@ from repro.observability import (
     KSDetector,
     MMDDetector,
     PSIDetector,
+    P2Quantile,
     TelemetryRecorder,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "observability"))
+from test_sketch_kernels import (  # noqa: E402
+    NdarrayP2Quantile,
+    assert_p2_equal,
+    parent_record_batch,
+    parent_recorder,
+    recorder_state,
 )
 
 
@@ -204,3 +221,73 @@ def test_e4_batched_monitoring_speedup(benchmark, smoke_mode):
     assert result["telemetry_equal"], "fleet sweep telemetry payload differs"
     assert result["devices_with_drift"] >= n_devices // 2  # the injected shift is seen
     assert result["speedup"] >= 10.0, f"fleet sweep only {result['speedup']:.1f}x faster"
+
+
+def test_e4_sketch_update_cost(benchmark, smoke_mode):
+    """Absolute sketch-kernel cost on a monitored window (>=3x P² guardrail).
+
+    The shape is e0's ``serve_monitored``: 300 devices, ~40 served queries
+    per device-window, latency/energy/memory channels plus predictions.
+    Recorded: µs per P² observation and µs per ``record_batch`` device-window
+    for the live kernels and for the replaced formulations, which must leave
+    identical markers / telemetry state behind.
+    """
+    n_devices = 60 if smoke_mode else 300
+    n_windows = 6 if smoke_mode else 12
+    window = 40
+    rng = np.random.default_rng(4)
+    batches = [
+        [
+            (rng.uniform(0.001, 0.02, window), np.full(window, 0.01), np.full(window, 1e5), rng.integers(0, 10, window))
+            for _ in range(n_devices)
+        ]
+        for _ in range(n_windows)
+    ]
+
+    def p2_pass(cls):
+        sketches = [cls(0.95) for _ in range(n_devices)]
+        t0 = time.perf_counter()
+        for batch in batches:
+            for sketch, (latencies, _, _, _) in zip(sketches, batch):
+                sketch.update(latencies)
+        return sketches, (time.perf_counter() - t0) / (n_devices * n_windows * window) * 1e6
+
+    def record_pass(make, record):
+        recorders = [make(f"dev-{i}", num_classes=10) for i in range(n_devices)]
+        t0 = time.perf_counter()
+        for batch in batches:
+            for recorder, channels in zip(recorders, batch):
+                record(recorder, *channels)
+        return recorders, (time.perf_counter() - t0) / (n_devices * n_windows) * 1e6
+
+    def scenario():
+        p2_pass(P2Quantile)  # warm
+        new_p2, p2_us = min((p2_pass(P2Quantile) for _ in range(3)), key=lambda r: r[1])
+        old_p2, p2_oracle_us = min((p2_pass(NdarrayP2Quantile) for _ in range(2)), key=lambda r: r[1])
+        new_rec, rec_us = min(
+            (record_pass(TelemetryRecorder, TelemetryRecorder.record_batch) for _ in range(3)), key=lambda r: r[1]
+        )
+        old_rec, rec_oracle_us = min(
+            (record_pass(parent_recorder, parent_record_batch) for _ in range(2)), key=lambda r: r[1]
+        )
+        for new, old in zip(new_p2, old_p2):
+            assert_p2_equal(new, old)
+        for new, old in zip(new_rec, old_rec):
+            assert recorder_state(new) == recorder_state(old), "block-reduced record_batch diverged"
+        return {
+            "n_devices": n_devices,
+            "observations_per_window": window,
+            "p2_us_per_observation": p2_us,
+            "p2_oracle_us_per_observation": p2_oracle_us,
+            "p2_speedup": p2_oracle_us / max(p2_us, 1e-12),
+            "record_batch_us_per_device_window": rec_us,
+            "record_batch_oracle_us_per_device_window": rec_oracle_us,
+            "record_batch_speedup": rec_oracle_us / max(rec_us, 1e-12),
+        }
+
+    result = benchmark.pedantic(scenario, rounds=1, iterations=1)
+    benchmark.extra_info.update(result)
+    assert result["p2_speedup"] >= 3.0, f"P² update only {result['p2_speedup']:.1f}x cheaper than the oracle"
+    assert result["record_batch_speedup"] >= 2.0, (
+        f"record_batch only {result['record_batch_speedup']:.1f}x cheaper than the per-channel path"
+    )

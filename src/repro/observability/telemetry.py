@@ -139,18 +139,29 @@ class TelemetryRecorder:
                 self._sketch_predictions(np.asarray([cls]))
 
     def record_batch(self, latencies: np.ndarray, energies: np.ndarray, memories: np.ndarray, predictions: Optional[np.ndarray] = None) -> None:
-        """Vectorized bulk recording (used by the fleet serving sweep)."""
-        latencies = np.asarray(latencies, dtype=np.float64).ravel()
-        self.n_queries += latencies.size
-        self._latency.update_batch(latencies)
+        """Vectorized bulk recording (used by the fleet serving sweep).
+
+        The three equal-length channels reduce as one ``(3, n)`` block; the
+        row-wise reductions are NumPy's pairwise summation per row, so each
+        ``(count, mean, m2)`` triple is bit-equal to reducing its channel alone.
+        """
+        block = np.array([latencies, energies, memories], dtype=np.float64).reshape(3, -1)
+        latencies = block[0]
+        n = latencies.size
+        self.n_queries += n
+        if n:
+            means = block.sum(axis=1) / n
+            m2s = ((block - means[:, None]) ** 2).sum(axis=1).tolist()
+            for moments, mean, m2 in zip((self._latency, self._energy, self._memory), means.tolist(), m2s):
+                moments.merge_stats(n, mean, m2)
         self._latency_p.update(latencies)
         self._latency_sample.offer_batch(latencies)
-        self._energy.update_batch(np.asarray(energies, dtype=np.float64).ravel())
-        self._memory.update_batch(np.asarray(memories, dtype=np.float64).ravel())
         if predictions is not None:
             if self.num_classes:
-                counts = np.bincount(np.asarray(predictions, dtype=int), minlength=self.num_classes)
-                self._pred_counts += counts[: self.num_classes]
+                # Out-of-range ids are dropped, exactly as record() drops them.
+                classes = np.asarray(predictions, dtype=int).ravel()
+                classes = classes[(classes >= 0) & (classes < self.num_classes)]
+                self._pred_counts += np.bincount(classes, minlength=self.num_classes)
             else:
                 self._sketch_predictions(predictions)
 
