@@ -5,7 +5,7 @@ plug.  This example walks the durable crash-recovery plane end to end:
 
 1. run federated rounds under a seeded fault plan against a
    ``DurableCheckpointStore`` (every checkpoint, round commit and fault
-   plan committed to disk via atomic rename);
+   plan journaled and fsynced before the call returns);
 2. "crash" partway through (here: stop the loop and throw the whole world
    away — the same state a freshly restarted process sees);
 3. rebuild the world from scratch, restore the latest commit record

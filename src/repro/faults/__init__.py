@@ -61,15 +61,24 @@ Crash recovery
 In-memory :class:`CheckpointStore` survives an *exception*;
 :class:`~repro.faults.durable.DurableCheckpointStore` (and
 :class:`~repro.faults.durable.DurableDecisionLog`) survive a *process
-death*: every checkpoint, commit record, fault plan, ledger segment and
-lifecycle decision is persisted with write-to-temp → fsync → atomic
-rename under a self-digested manifest, and every load re-verifies both
-the file digest and the recomputed content digest — a half-written or
-tampered file surfaces as a typed
+death*.  The index is a self-digested snapshot plus a journal of
+self-digested lines — one appended, fsynced line per mutation, so every
+``put`` / ``record_commit`` is acknowledged on disk before it returns.
+Checkpoints are written incrementally (only the cohorts the store does
+not hold yet) into slot files that are reused in place; commit records,
+fault plans, ledger segments and lifecycle decisions go through
+write-to-temp → fsync → atomic rename.  Every load re-verifies size,
+file digest and the recomputed content digest: a torn *last* write is
+invisible, damage to anything acknowledged surfaces as a typed
 :class:`~repro.faults.durable.CheckpointCorrupted`, never as silently
-wrong state.  ``tests/faults/test_crash_recovery.py`` SIGKILLs a real
-child process mid-round and asserts a fresh process resumes to
-bit-identical weights, results and ledger MACs.
+wrong state.  Both stores keep the checkpoint archive of the two newest
+committed rounds (plus every uncommitted one); commit records are kept
+forever.  A state dir has one writer — a stale second one is refused.
+``tests/faults/test_crash_states.py`` enumerates every prefix of a
+recorded write schedule under process death and power loss;
+``tests/faults/test_crash_recovery.py`` SIGKILLs a real child process
+mid-round; both assert a fresh process resumes to bit-identical
+weights and results.
 
 Adding a fault kind
 -------------------

@@ -1,8 +1,8 @@
-"""Atomic, digest-verified file persistence primitives.
+"""Atomic, in-place and append-only file persistence primitives, digest-verified.
 
-The durability layer of the fault plane (:mod:`repro.faults.durable`)
-needs exactly three guarantees from the filesystem, and this module is
-the single place they are implemented:
+Every durable byte of the fault plane (:mod:`repro.faults.durable`) goes
+through this module, so the guarantees the store builds on are stated —
+and enumerated by ``tests/faults/test_crash_states.py`` — in one place:
 
 1. **Atomic commit** — :func:`atomic_write_bytes` writes to a temp file
    in the destination directory, flushes, ``fsync``\\ s, then
@@ -10,25 +10,41 @@ the single place they are implemented:
    crash at any point leaves either the old file or the new file, never
    a half-written one; stray ``*.tmp-*`` files are the only debris and
    are ignored by every reader.
-2. **Verified read** — :func:`read_bytes_verified` refuses to hand back
-   bytes whose size or sha256 digest does not match what the caller
-   recorded at write time, raising :class:`IntegrityError` with the
-   offending path and digests.  No caller ever parses unverified bytes.
-3. **Canonical JSON** — :func:`canonical_json` produces the one byte
+2. **Synced append** — :func:`append_synced` returns only after the
+   appended bytes are fsynced.  A crash mid-append can tear the *last*
+   record and nothing before it; :func:`truncate_file` cuts such a tail
+   off (the cut is durable with the file's next fsync).
+3. **Synced in-place write** — :func:`pwrite_synced` writes extents into
+   an existing file without truncating it and fsyncs once.  A crash
+   mid-write damages only the byte ranges being written; callers keep
+   acknowledged ranges and ranges in flight on separate 4 KiB blocks.
+4. **Durable names** — whichever primitive creates a file or directory
+   (:func:`ensure_dir`) fsyncs the directory that gained the name before
+   it returns.
+5. **Verified read** — :func:`read_bytes_verified` refuses to hand back
+   bytes (a whole file, or one extent of it) whose size or sha256 digest
+   does not match what the caller recorded at write time, raising
+   :class:`IntegrityError` with the offending path and digests.  No
+   caller ever parses unverified bytes.
+6. **Canonical JSON** — :func:`canonical_json` produces the one byte
    encoding of a JSON document (sorted keys, no whitespace, numpy
    scalars unwrapped) so content digests are stable across processes.
 
-Everything here is stdlib + numpy only and safe to import from any
+:func:`recording` logs the schedule of those operations for tests; it
+is the only module state and is off (``None``) unless a test turns it
+on.  Everything here is stdlib + numpy only and safe to import from any
 layer.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import hashlib
 import json
 import os
 import tempfile
-from typing import Optional
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,10 +55,17 @@ __all__ = [
     "canonical_json",
     "atomic_write_bytes",
     "atomic_write_json",
+    "append_synced",
+    "pwrite_synced",
+    "truncate_file",
+    "ensure_dir",
+    "fsync_dir",
     "read_bytes_verified",
     "read_json_verified",
-    "fsync_dir",
+    "recording",
 ]
+
+_OPS: Optional[List[tuple]] = None  # recording() target; None = not recording
 
 
 class PersistError(RuntimeError):
@@ -89,8 +112,33 @@ def canonical_json(obj) -> bytes:
     ).encode()
 
 
+@contextlib.contextmanager
+def recording() -> Iterator[List[tuple]]:
+    """Test-only: log the schedule of durable operations issued inside the block.
+
+    Yields the live list; every primitive below appends one tuple per
+    operation, in issue order: ``("write", path, offset, data)``,
+    ``("fsync", path)``, ``("rename", src, dst)``, ``("dir-fsync", path)``,
+    ``("truncate", path, size)``, ``("mkdir", path)``.  The crash-state
+    suite (``tests/faults/test_crash_states.py``) replays every prefix of
+    such a schedule under a process-death and a power-loss model.
+    """
+    global _OPS
+    previous, _OPS = _OPS, []
+    try:
+        yield _OPS
+    finally:
+        _OPS = previous
+
+
+def _log(*op) -> None:
+    if _OPS is not None:
+        _OPS.append(op)
+
+
 def fsync_dir(path: str) -> None:
     """Flush a directory's entry table (best effort; no-op where unsupported)."""
+    _log("dir-fsync", path)
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:  # pragma: no cover - e.g. Windows
@@ -103,6 +151,17 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def ensure_dir(path: str) -> None:
+    """Create ``path`` (and missing parents), fsyncing each parent it adds a
+    name to — a new directory is as durable as the files put into it."""
+    if not os.path.isdir(path):
+        parent = os.path.dirname(path) or "."
+        ensure_dir(parent)
+        os.mkdir(path)
+        _log("mkdir", path)
+        fsync_dir(parent)
+
+
 def atomic_write_bytes(path: str, data: bytes) -> str:
     """Write ``data`` to ``path`` atomically; returns its sha256 digest.
 
@@ -113,7 +172,7 @@ def atomic_write_bytes(path: str, data: bytes) -> str:
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
+    ensure_dir(directory)
     fd, tmp = tempfile.mkstemp(
         dir=directory, prefix=os.path.basename(path) + ".tmp-"
     )
@@ -122,7 +181,10 @@ def atomic_write_bytes(path: str, data: bytes) -> str:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
+        _log("write", tmp, 0, data)
+        _log("fsync", tmp)
         os.replace(tmp, path)
+        _log("rename", tmp, path)
     except BaseException:
         try:
             os.unlink(tmp)
@@ -138,22 +200,81 @@ def atomic_write_json(path: str, obj) -> str:
     return atomic_write_bytes(path, canonical_json(obj))
 
 
+def _write_synced(path: str, extents: Sequence[Tuple[Optional[int], Sequence]], flags: int = 0) -> os.stat_result:
+    """Write ``(offset, buffers)`` extents into ``path`` (created durably if
+    missing), fsync once, return the file's new stat."""
+    path = os.fspath(path)
+    directory = os.path.dirname(path) or "."
+    created = not os.path.exists(path)
+    if created:
+        ensure_dir(directory)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | flags, 0o644)
+    try:
+        for offset, buffers in extents:
+            if offset is None:  # O_APPEND: the write lands at the end whatever offset says
+                offset = os.fstat(fd).st_size
+            if os.pwritev(fd, buffers, offset) != sum(memoryview(b).nbytes for b in buffers):
+                raise OSError(errno.EIO, "short write", path)
+            if _OPS is not None:
+                _log("write", path, offset, b"".join(bytes(b) for b in buffers))
+        os.fsync(fd)
+        stat = os.fstat(fd)
+    finally:
+        os.close(fd)
+    _log("fsync", path)
+    if created:
+        fsync_dir(directory)
+    return stat
+
+
+def append_synced(path: str, data: bytes) -> os.stat_result:
+    """Append ``data`` to ``path`` and fsync it; returns the file's new stat.
+
+    The append is durable when this returns; a crash before that leaves
+    at most a torn tail after the previously synced bytes.  A file
+    created here also gets its directory fsynced, so the name survives.
+    """
+    return _write_synced(path, [(None, [data])], os.O_APPEND)
+
+
+def pwrite_synced(path: str, extents: Sequence[Tuple[int, Sequence]]) -> None:
+    """Write ``(offset, buffers)`` extents into ``path`` in place, then fsync once.
+
+    No truncate: bytes outside the extents keep whatever they held, so a
+    file reused in place never returns its pages to the allocator.  A
+    file created here also gets its directory fsynced.
+    """
+    _write_synced(path, extents)
+
+
+def truncate_file(path: str, size: int) -> None:
+    """Cut ``path`` to ``size`` bytes — durable with the file's next fsync."""
+    os.truncate(path, size)
+    _log("truncate", os.fspath(path), int(size))
+
+
 def read_bytes_verified(
     path: str,
     expected_digest: Optional[str] = None,
     expected_size: Optional[int] = None,
+    offset: Optional[int] = None,
 ) -> bytes:
     """Read a file and verify its size/digest before returning any bytes.
 
-    Raises :class:`IntegrityError` on a missing file, a size mismatch
-    (truncation) or a digest mismatch (bit rot / tampering).  Size is
-    checked first so a truncated file is reported as truncated, not as
-    a generic digest failure.
+    With ``offset`` the read covers only the extent ``[offset, offset +
+    expected_size)`` of a larger file.  Raises :class:`IntegrityError` on
+    a missing file, a size mismatch (truncation) or a digest mismatch
+    (bit rot / tampering).  Size is checked first so a truncated file is
+    reported as truncated, not as a generic digest failure.
     """
     path = os.fspath(path)
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            if offset is None:
+                data = handle.read()
+            else:
+                handle.seek(offset)
+                data = handle.read(int(expected_size))
     except FileNotFoundError:
         raise IntegrityError(path, "persisted file missing") from None
     except OSError as exc:

@@ -123,6 +123,53 @@ class TestStoreContract:
         assert store.latest_commit()["round_index"] == 2
 
 
+class TestArchiveRetention:
+    """``record_commit`` retires the archive of committed rounds older than
+    the newest two — one rule, both stores."""
+
+    def test_committed_rounds_older_than_the_last_two_are_retired(self, store_factory):
+        store = store_factory()
+        digests = []
+        for r in range(5):
+            digests.append(store.put(_ckpt(round_index=r, value=float(r))))
+            store.record_commit(r, np.full(3, float(r)), {"round_index": r})
+            store.clear_round(r)
+            assert len(store) <= 2
+        assert [store.get(d) for d in digests[:3]] == [None, None, None]
+        for r in (3, 4):
+            assert store.get(digests[r]).round_index == r
+        assert len(store) == 2
+        assert len(store_factory()) == 2  # and it stays retired across a restart
+
+    def test_commit_drops_the_rounds_resume_pointers(self, store_factory):
+        store = store_factory()
+        store.put(_ckpt(round_index=0))
+        store.record_commit(0, np.zeros(3), {"round_index": 0})
+        assert store.latest_for(0, "m") is None
+        store.clear_round(0)  # what the engine calls next: nothing left to do
+
+    def test_an_uncommitted_rounds_checkpoints_are_never_retired(self, store_factory):
+        store = store_factory()
+        in_flight = store.put(_ckpt(round_index=1, positions=(0, 1)))
+        for r in (0, 2, 3, 4, 5):  # round 1 never commits
+            store.put(_ckpt(round_index=r))
+            store.record_commit(r, np.zeros(3), {"round_index": r})
+        assert store.get(in_flight).n_cohorts_done == 2
+        assert store_factory().latest_for(1, "m").digest() == in_flight
+
+    def test_non_extension_put_on_one_key_round_trips_both(self, store_factory):
+        store = store_factory()
+        first = store.put(_ckpt(value=1.0))
+        second = store.put(_ckpt(value=2.0))  # same (round, model), different cohort 0
+        shrunk = store.put(_ckpt(value=2.0, positions=()))  # fewer cohorts than the head
+        for current in (store, store_factory()):
+            assert current.get(first).cohorts[0]["deltas"][0, 0] == 1.0
+            assert current.get(second).cohorts[0]["deltas"][0, 0] == 2.0
+            assert current.get(shrunk).n_cohorts_done == 0
+            assert current.latest_for(0, "m").digest() == shrunk
+            assert len(current) == 3
+
+
 class TestDurableRestart:
     """Cross-instance behaviour only the durable flavour can exhibit."""
 

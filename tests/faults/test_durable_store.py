@@ -381,3 +381,265 @@ class TestLifecycleDurableRestart:
         second = pipe2.run_cycle(trigger={"kind": "manual"})
         assert second.cycle == 1
         assert len(DurableDecisionLog(str(tmp_path / "lc")).load()) == 2
+
+
+def _tree(root):
+    """Every file under a state dir, byte for byte."""
+    return {
+        os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+        for d, _, files in os.walk(root) for f in files
+    }
+
+
+class TestSingleWriterFence:
+    def test_stale_second_writer_raises_and_touches_nothing(self, tmp_path):
+        first = DurableCheckpointStore(tmp_path)
+        first.put(_ckpt(round_index=0))
+        second = DurableCheckpointStore(tmp_path)  # e.g. a restarted coordinator
+        second.put(_ckpt(round_index=1))
+        second.record_commit(0, np.arange(3.0), {"round_index": 0})
+        before = _tree(tmp_path)
+        for write in (
+            lambda: first.put(_ckpt(round_index=2)),
+            lambda: first.record_commit(1, np.arange(3.0), {"round_index": 1}),
+            lambda: first.put_record("note", "n", {"x": 1}),
+            lambda: first.clear_round(0),
+        ):
+            with pytest.raises(CheckpointCorrupted, match="stale writer") as exc_info:
+                write()
+            assert exc_info.value.path == os.path.join(first.root, "MANIFEST.log")
+        assert _tree(tmp_path) == before  # journal, slots, commits: not one byte
+        # the live writer is unaffected and a fresh instance sees its state
+        second.put(_ckpt(round_index=2))
+        fresh = DurableCheckpointStore(tmp_path)
+        assert fresh.latest_commit()["round_index"] == 0
+        assert fresh.latest_for(2, "m") is not None
+
+    def test_stale_writer_is_fenced_across_a_compaction(self, tmp_path, monkeypatch):
+        import repro.faults.durable as durable
+
+        first = DurableCheckpointStore(tmp_path)
+        first.put(_ckpt(round_index=0))
+        monkeypatch.setattr(durable, "_COMPACT_MIN_BYTES", 64)
+        second = DurableCheckpointStore(tmp_path)
+        second.put(_ckpt(round_index=1))  # compacts: the journal is a new, empty file
+        assert os.path.getsize(os.path.join(second.root, "MANIFEST.log")) == 0
+        with pytest.raises(CheckpointCorrupted, match="stale writer"):
+            first.put(_ckpt(round_index=2))
+
+    def test_readers_coexist_with_the_writer(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        digest = store.put(_ckpt(round_index=0))
+        reader = DurableCheckpointStore(tmp_path)
+        assert reader.get(digest).digest() == digest
+        later = store.put(_ckpt(round_index=1))  # the reader wrote nothing: no fence
+        assert reader.get(later) is None  # a reader sees the state it opened
+        assert DurableCheckpointStore(tmp_path).get(later) is not None
+
+
+class TestJournal:
+    @staticmethod
+    def _journal(store):
+        return os.path.join(store.root, "MANIFEST.log")
+
+    def test_mutations_append_to_the_journal_not_the_snapshot(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        snapshot = open(os.path.join(store.root, "MANIFEST.json"), "rb").read()
+        store.put(_ckpt())
+        store.record_commit(0, np.arange(3.0), {"round_index": 0})
+        assert open(os.path.join(store.root, "MANIFEST.json"), "rb").read() == snapshot
+        assert len(open(self._journal(store), "rb").read().splitlines()) == 2
+        fresh = DurableCheckpointStore(tmp_path)
+        assert fresh._manifest == store._manifest
+
+    def test_compaction_preserves_the_index(self, tmp_path, monkeypatch):
+        import repro.faults.durable as durable
+
+        monkeypatch.setattr(durable, "_COMPACT_MIN_BYTES", 256)
+        store = DurableCheckpointStore(tmp_path)
+        store.put_plan(FaultPlan(seed=1, interrupts=((0, 1),)))
+        token = store.begin_merge("serve", {"n_shards": 2})
+        for r in range(6):
+            store.put(_ckpt(round_index=r))
+            store.record_commit(r, np.full(3, float(r)), {"round_index": r})
+            store.clear_round(r)
+        store.commit_merge(token)
+        # 15 mutations: the snapshot absorbed some, the journal holds the rest
+        snapshot_seq = json.loads(open(os.path.join(store.root, "MANIFEST.json")).read())["seq"]
+        assert 0 < snapshot_seq < store._manifest["seq"] == 15
+        journal = open(self._journal(store), "rb").read().splitlines()
+        assert len(journal) == 15 - snapshot_seq
+        fresh = DurableCheckpointStore(tmp_path)
+        assert fresh._manifest == store._manifest
+        assert [c["round_index"] for c in fresh.commits()] == list(range(6))
+        assert fresh.load_plan().interrupts == ((0, 1),)
+        assert fresh.pending_merges() == []
+
+    def test_snapshot_newer_than_journal_records_skips_them(self, tmp_path):
+        """A crash between compaction's snapshot and its journal reset."""
+        store = DurableCheckpointStore(tmp_path)
+        store.put(_ckpt())
+        store._flush()  # snapshot now covers the journal's one record
+        fresh = DurableCheckpointStore(tmp_path)
+        assert fresh._manifest == store._manifest
+        assert len(fresh) == 1
+
+    def test_torn_last_line_is_dropped_then_cut(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        kept = store.put(_ckpt(round_index=0))
+        size = os.path.getsize(self._journal(store))
+        torn = store.put(_ckpt(round_index=1))
+        with open(self._journal(store), "r+b") as fh:
+            fh.truncate(size + 40)  # the second append never finished
+        fresh = DurableCheckpointStore(tmp_path)
+        assert fresh.get(kept) is not None and fresh.get(torn) is None
+        fresh.put(_ckpt(round_index=2))  # cuts the tail before appending
+        again = DurableCheckpointStore(tmp_path)
+        assert sorted(e["round_index"] for e in again._manifest["checkpoints"].values()) == [0, 2]
+
+    def test_garbage_after_a_complete_line_is_a_dropped_tail(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        digest = store.put(_ckpt())
+        with open(self._journal(store), "ab") as fh:
+            fh.write(b"\x00\x00garbage\nmore garbage")
+        fresh = DurableCheckpointStore(tmp_path)
+        assert fresh.get(digest).digest() == digest
+
+    def test_damaged_middle_line_raises(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        store.put(_ckpt(round_index=0))
+        store.put(_ckpt(round_index=1))
+        data = bytearray(open(self._journal(store), "rb").read())
+        data[100] ^= 0xFF  # inside the first (acknowledged) record
+        with open(self._journal(store), "wb") as fh:
+            fh.write(bytes(data))
+        with pytest.raises(CheckpointCorrupted, match="journal record 1 damaged") as exc_info:
+            DurableCheckpointStore(tmp_path)
+        assert exc_info.value.path == self._journal(store)
+
+    def test_journal_without_its_snapshot_is_refused(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        store.put(_ckpt())
+        os.remove(os.path.join(store.root, "MANIFEST.json"))
+        with pytest.raises(CheckpointCorrupted, match="snapshot missing"):
+            DurableCheckpointStore(tmp_path)
+
+
+class TestPersistedVersions:
+    def test_format_1_directory_is_refused_naming_both_versions(self, tmp_path):
+        from repro.persist import atomic_write_json, canonical_json, sha256_bytes
+
+        body = {"format": 1, "seq": 0, "checkpoints": {}, "latest": {}, "commits": {}, "records": {}}
+        body["manifest_digest"] = sha256_bytes(canonical_json(body))
+        atomic_write_json(str(tmp_path / "MANIFEST.json"), body)
+        with pytest.raises(CheckpointCorrupted, match="manifest format unrecognized") as exc_info:
+            DurableCheckpointStore(tmp_path)
+        assert (exc_info.value.expected, exc_info.value.actual) == (2, 1)
+        assert "expected 2, got 1" in str(exc_info.value)
+
+    @staticmethod
+    def _append_record(store, **record):
+        from repro.faults.durable import _journal_line
+
+        seq = store._manifest["seq"] + 1
+        with open(os.path.join(store.root, "MANIFEST.log"), "ab") as fh:
+            fh.write(_journal_line({"seq": seq, **record}))
+
+    def test_unknown_journal_op_raises_naming_it(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        store.put(_ckpt())
+        self._append_record(store, v=2, op="defragment")
+        with pytest.raises(CheckpointCorrupted, match="unknown journal op 'defragment'"):
+            DurableCheckpointStore(tmp_path)
+
+    def test_journal_line_of_another_format_is_refused(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        store.put(_ckpt())
+        self._append_record(store, v=3, op="clear", round=0)
+        with pytest.raises(CheckpointCorrupted, match="journal record format") as exc_info:
+            DurableCheckpointStore(tmp_path)
+        assert (exc_info.value.expected, exc_info.value.actual) == (2, 3)
+
+    def test_every_journal_line_and_frame_table_carries_the_format(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        digest = store.put(_ckpt())
+        for line in open(os.path.join(store.root, "MANIFEST.log"), "rb").read().splitlines():
+            assert json.loads(line.split(b" ", 1)[1])["v"] == 2
+        slot = store._manifest["slots"][store._manifest["checkpoints"][digest]["file"]]
+        assert slot["v"] == 2
+        slot["v"] = 3
+        store._flush()
+        with pytest.raises(CheckpointCorrupted, match="frame table format"):
+            DurableCheckpointStore(tmp_path).get(digest)
+
+
+class TestSlotFrames:
+    @staticmethod
+    def _frames(store, digest):
+        entry = store._manifest["checkpoints"][digest]
+        return store._manifest["slots"][entry["file"]]["frames"][: entry["n_frames"]]
+
+    def test_put_writes_only_the_new_frames(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        ckpt = _ckpt(positions=())
+        d0 = store.put(ckpt)
+        ckpt.record_cohort(0, [0], np.full((1, 4), 1.5), np.ones(1), np.ones(1))
+        d1 = store.put(ckpt)
+        ckpt.record_cohort(1, [1], np.full((1, 4), 2.5), np.ones(1), np.ones(1))
+        d2 = store.put(ckpt)
+        # one slot, frames shared as prefixes, each on its own 4 KiB block
+        assert len({store._manifest["checkpoints"][d]["file"] for d in (d0, d1, d2)}) == 1
+        assert [len(self._frames(store, d)) for d in (d0, d1, d2)] == [1, 2, 3]
+        assert [f[0] for f in self._frames(store, d2)] == [0, 4096, 8192]
+        fresh = DurableCheckpointStore(tmp_path)
+        assert [fresh.get(d).n_cohorts_done for d in (d0, d1, d2)] == [0, 1, 2]
+        assert fresh.latest_for(0, "m").digest() == d2
+
+    def test_bit_flip_in_an_acknowledged_frame(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        digest = store.put(_ckpt())
+        path = _object_path(store, digest)
+        offset, size, sha = self._frames(store, digest)[2][:3]  # cohort 1's frame
+        with open(path, "r+b") as fh:
+            fh.seek(offset + size - 1)
+            byte = fh.read(1)
+            fh.seek(offset + size - 1)
+            fh.write(bytes([byte[0] ^ 0x01]))
+        with pytest.raises(CheckpointCorrupted, match="digest mismatch") as exc_info:
+            DurableCheckpointStore(tmp_path).get(digest)
+        assert exc_info.value.path == path
+        assert exc_info.value.expected == sha
+
+    def test_slot_shorter_than_a_journaled_extent(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        digest = store.put(_ckpt())
+        path = _object_path(store, digest)
+        offset, size = self._frames(store, digest)[2][:2]
+        os.truncate(path, offset + size - 1)
+        with pytest.raises(CheckpointCorrupted, match="truncated") as exc_info:
+            DurableCheckpointStore(tmp_path).latest_for(0, "m")
+        assert exc_info.value.path == path
+
+    def test_bytes_outside_the_journaled_extents_are_invisible(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        digest = store.put(_ckpt())
+        path = _object_path(store, digest)
+        (_, meta_size, *_), (first, *_) = self._frames(store, digest)[:2]
+        with open(path, "r+b") as fh:
+            fh.seek(meta_size)
+            fh.write(b"\xAA" * (first - meta_size))  # the gap up to the next block
+            fh.seek(0, os.SEEK_END)
+            fh.write(b"stale frames of a retired round" * 100)
+        assert DurableCheckpointStore(tmp_path).get(digest).digest() == digest
+
+    def test_orphan_slot_is_invisible_and_reusable(self, tmp_path):
+        store = DurableCheckpointStore(tmp_path)
+        digest = store.put(_ckpt())
+        orphan = os.path.join(store.root, "objects", "slot-007.bin")
+        with open(orphan, "wb") as fh:
+            fh.write(b"a slot written by a process that died before its journal record")
+        fresh = DurableCheckpointStore(tmp_path)
+        assert len(fresh) == 1 and fresh.get(digest) is not None
+        other = fresh.put(_ckpt(round_index=1))
+        assert _object_path(fresh, other) == orphan  # overwritten in place
+        assert DurableCheckpointStore(tmp_path).get(other).digest() == other
