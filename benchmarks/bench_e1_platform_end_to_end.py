@@ -12,7 +12,9 @@ traffic (steady / bursty / diurnal / overload).
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,15 @@ from repro.core.serving import ServingEngine
 from repro.data import make_gaussian_blobs, partition_dirichlet
 from repro.devices import Battery, EdgeDevice, ExecutionCost, Fleet, get_profile
 from repro.nn import make_mlp
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "core"))
+from test_deploy_by_class import (  # noqa: E402
+    _deploy_per_device,
+    assert_summaries_equal,
+    assert_twins_equal,
+    build_platform,
+    count_calls,
+)
 
 
 def _full_cycle(seed: int = 0) -> dict:
@@ -238,6 +249,58 @@ def test_e1_fleet_scenario_traffic(benchmark, smoke_mode):
     benchmark.extra_info.update(
         {name: {k: report[k] for k in ("requested", "served", "denied_quota", "battery_failures")} for name, report in reports.items()}
     )
+
+
+def test_e1_deploy_by_class(benchmark, smoke_mode, bench_model, bench_task):
+    """``platform.deploy`` vs the per-device loop it replaced (≥3x target).
+
+    Twin platforms over a 400-device fleet (60 in smoke mode) roll the same
+    release out, one through ``platform.deploy`` — select once per distinct
+    (profile, link, policy), lower + compile once per distinct (variant,
+    profile) — and one through the parent commit's per-device loop, kept as
+    the oracle in ``tests/core/test_deploy_by_class.py``.  Summary, grants,
+    registry and every other byte a deploy writes must be identical; compile
+    runs at most once per (variant, profile).  The ≥3x guardrail is asserted
+    outside smoke mode (a 60-device fleet has ~25 classes: too few devices
+    per class for the ratio to mean anything), best of three fresh twins.
+    """
+    n_devices = 60 if smoke_mode else 400
+    _, test = bench_task
+    name = bench_model.name
+
+    def scenario():
+        t_class, t_device = [], []
+        for _ in range(3):
+            by_class, per_device = (
+                build_platform(Fleet.random(n_devices, seed=0), bench_model, test.x, test.y) for _ in range(2)
+            )
+            compiles = count_calls(by_class.compiler, "compile")
+            t0 = time.perf_counter()
+            summary = by_class.deploy(name, prepaid_queries=500)
+            t_class.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            oracle_summary = _deploy_per_device(per_device, name, prepaid_queries=500)
+            t_device.append(time.perf_counter() - t0)
+            assert_summaries_equal(summary, oracle_summary)
+            assert_twins_equal(by_class, per_device)
+        targets = {(d.installed[name].version, d.profile) for d in by_class.fleet}
+        return {
+            "n_devices": n_devices,
+            "deployed": summary["deployed"],
+            "compile_calls": len(compiles),
+            "variant_profile_pairs": len(targets),
+            "by_class_s": min(t_class),
+            "per_device_s": min(t_device),
+            "speedup": min(t_device) / max(min(t_class), 1e-12),
+            "devices_per_s_by_class": n_devices / max(min(t_class), 1e-12),
+        }
+
+    result = benchmark.pedantic(scenario, rounds=1, iterations=1)
+    assert result["deployed"] == n_devices
+    assert result["compile_calls"] <= result["variant_profile_pairs"]
+    if not smoke_mode:
+        assert result["speedup"] >= 3.0, f"deploy by class only {result['speedup']:.1f}x the per-device loop"
+    benchmark.extra_info.update(result)
 
 
 def _sharded_serving_world(n_devices: int, seed: int = 0):

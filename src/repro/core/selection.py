@@ -111,7 +111,17 @@ class ModelSelector:
         policy: Optional[SelectionPolicy] = None,
         context: Optional[Dict[str, object]] = None,
     ) -> SelectionResult:
-        """Score every variant on a device and return the best feasible one."""
+        """Score every variant on a device and return the best feasible one.
+
+        **Purity contract.**  The result is a pure function of ``(variants,
+        profile, network, policy)``; ``context`` enters only through
+        :meth:`policy_for_context`, and only when ``policy`` is not given.
+        ``network`` counts as a whole: ``transfer_time`` reads bandwidth and
+        latency, not just ``kind``.  ``TinyMLOpsPlatform.deploy`` and
+        ``promote_model`` rely on this to select once per distinct
+        ``(profile, network, policy)`` instead of once per device — a change
+        that makes ``select`` read anything else must change that key too.
+        """
         if policy is None:
             policy = self.policy_for_context(context or {})
         scores: Dict[str, float] = {}

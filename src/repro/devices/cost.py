@@ -15,6 +15,7 @@ emulation penalty is applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -75,12 +76,12 @@ def model_flops_and_bytes(model, bits: int = 32) -> Tuple[float, float, float]:
     bytes_per_el = max(bits, 8) / 8.0
     flops = 0.0
     bytes_moved = 0.0
-    peak_act = float(np.prod(model.input_shape)) * bytes_per_el
+    peak_act = float(math.prod(model.input_shape)) * bytes_per_el
     shape = model.input_shape
     for layer in model.layers:
         out_shape = layer.output_shape(shape)
-        in_elems = float(np.prod(shape))
-        out_elems = float(np.prod(out_shape))
+        in_elems = float(math.prod(shape))
+        out_elems = float(math.prod(out_shape))
         params = float(layer.num_params())
         if isinstance(layer, Dense):
             flops += 2.0 * shape[0] * layer.units

@@ -52,8 +52,13 @@ class Orchestrator:
         return sandbox
 
     def can_place(self, pipeline: Pipeline, device: EdgeDevice) -> Tuple[bool, str]:
-        """Check storage and capability constraints for a placement."""
-        if not device.can_install(pipeline.size_bytes()):
+        """Check storage and capability constraints for a placement.
+
+        Storage agrees with :meth:`EdgeDevice.install`, which *replaces* an
+        artifact of the same id: an update may use the bytes it frees.
+        """
+        replaced = device.installed.get(pipeline.name)
+        if not device.can_install(pipeline.size_bytes() - (replaced.size_bytes if replaced else 0)):
             return False, "insufficient storage"
         sandbox = self.sandboxes.get(device.device_id)
         if sandbox is not None and not pipeline.required_capabilities() <= sandbox.granted:

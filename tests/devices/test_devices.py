@@ -97,6 +97,33 @@ class TestCostModel:
         with pytest.raises(ValueError):
             cm.enclave_cost(get_profile("mcu-m0"), base)
 
+    def test_shape_products_bit_equal_to_numpy_prod(self, trained_mlp, trained_cnn, blobs, digits, monkeypatch):
+        # ``model_flops_and_bytes`` multiplies 1-3-element shape tuples with
+        # ``math.prod``; the ``np.prod`` formulation it replaced must give the
+        # same ExecutionCost to the bit, for every variant x profile x bits.
+        import types
+
+        from repro.devices import cost as cost_module
+        from repro.optimize import VariantGenerator
+
+        profiles = [get_profile(name) for name in list_profiles()]
+        cases = []
+        for model, (_, test) in ((trained_mlp, blobs), (trained_cnn, digits)):
+            variants = VariantGenerator().generate(model, test.x[:40], test.y[:40], profiles[:1], bit_widths=(8, 4, 2), sparsities=(0.5,))
+            cases += [(v.model, bits) for v in variants for bits in (32, 8, 4, 2)]
+        cm = CostModel()
+
+        def sweep():
+            walks = [model_flops_and_bytes(model, bits=bits) for model, bits in cases]
+            costs = [cm.model_inference_cost(profile, model, bits=bits) for profile in profiles for model, bits in cases]
+            return walks, costs
+
+        walks, costs = sweep()
+        monkeypatch.setattr(cost_module, "math", types.SimpleNamespace(prod=np.prod))
+        reference_walks, reference_costs = sweep()
+        assert len(costs) == len(profiles) * len(cases) and len(cases) >= 32
+        assert walks == reference_walks and costs == reference_costs
+
     def test_fits_device(self):
         cm = CostModel()
         mcu = get_profile("mcu-m0")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.devices import Fleet, NetworkCondition, NetworkType, get_profile
+from repro.devices import Fleet, InstalledArtifact, NetworkCondition, NetworkType, get_profile
 from repro.exchange import Compiler, from_sequential
 from repro.nn import make_mlp
 from repro.runtime import (
@@ -136,6 +136,32 @@ class TestOrchestration:
         huge = Pipeline([Module("blob", fn=lambda x: x, size_bytes=10**9)], name="huge")
         result = orchestrator.place_everywhere(huge)
         assert result["placed"] == 0 and result["failed"] == 5
+
+    def test_update_may_use_the_bytes_it_replaces(self):
+        # Regression: can_place checked the new size against *free* flash
+        # while EdgeDevice.install replaces a same-id artifact and counts the
+        # bytes it frees, so every OTA update of a model filling more than
+        # half of what was left was refused "insufficient storage".
+        fleet = Fleet.random(1, mix={"mcu-m0": 1.0}, seed=1)
+        device = next(iter(fleet))
+        device.install(InstalledArtifact("filler", "1", size_bytes=device.free_flash() - 7134))
+        orchestrator = Orchestrator(fleet)
+
+        def release(version: str, size: int) -> Pipeline:
+            return Pipeline([Module("clf", fn=lambda x: x, size_bytes=size)], name="wake", version=version)
+
+        assert orchestrator.place(release("v1", 4756), [device.device_id])[0].placed
+        assert device.free_flash() == 2378
+        update = orchestrator.place(release("v2", 4756), [device.device_id])[0]  # free < size <= free + replaced
+        assert update.placed and device.installed["wake"].version == "v2"
+        assert device.free_flash() == 2378
+        grown = orchestrator.place(release("v3", 7134), [device.device_id])[0]  # exactly free + replaced
+        assert grown.placed and device.free_flash() == 0
+        too_large = orchestrator.place(release("v4", 7135), [device.device_id])[0]
+        assert not too_large.placed and too_large.reason == "insufficient storage"
+        assert device.installed["wake"].version == "v3" and device.free_flash() == 0
+        other = orchestrator.place(Pipeline([Module("m", fn=lambda x: x, size_bytes=1)], name="other"), [device.device_id])[0]
+        assert not other.placed  # a different artifact id replaces nothing
 
     def test_capability_constraint_blocks_placement(self, trained_mlp):
         fleet = Fleet.random(3, seed=2)
