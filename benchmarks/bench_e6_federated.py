@@ -23,13 +23,13 @@ from repro.data import make_gaussian_blobs, partition_dirichlet, partition_iid
 from repro.federated import (
     FederatedClient,
     FederatedEngine,
-    FederatedServer,
     RoundScenario,
     TopKSparsifier,
     TrimmedMeanAggregator,
     centralized_baseline,
     get_compressor,
     noniid_severity_sweep,
+    personalize_all,
 )
 from repro.nn import make_mlp
 
@@ -51,7 +51,7 @@ def test_e6_fedavg_vs_centralized(benchmark, fed_task, alpha):
     clients = _make_clients(train, alpha)
 
     def run():
-        server = FederatedServer(make_mlp(12, 5, hidden=(32, 16), seed=0), clients, eval_data=(test.x, test.y))
+        server = FederatedEngine(make_mlp(12, 5, hidden=(32, 16), seed=0), clients, eval_data=(test.x, test.y))
         history = server.run(6)
         return history[-1].global_accuracy
 
@@ -70,7 +70,7 @@ def test_e6_compression_communication_tradeoff(benchmark, fed_task, compressor_n
     kwargs = {"fraction": 0.1} if compressor_name == "topk" else ({"bits": 8} if compressor_name == "quantized" else {})
 
     def run():
-        server = FederatedServer(
+        server = FederatedEngine(
             make_mlp(12, 5, hidden=(32, 16), seed=0),
             clients,
             compressor=get_compressor(compressor_name, **kwargs),
@@ -95,9 +95,9 @@ def test_e6_personalization_gain_on_noniid_clients(benchmark, fed_task):
     clients = _make_clients(train, alpha=0.1, n_clients=8)
 
     def run():
-        server = FederatedServer(make_mlp(12, 5, hidden=(32, 16), seed=0), clients, eval_data=(test.x, test.y))
+        server = FederatedEngine(make_mlp(12, 5, hidden=(32, 16), seed=0), clients, eval_data=(test.x, test.y))
         server.run(4)
-        results = server.personalize_all(epochs=3)
+        results = personalize_all(server.global_model, clients, epochs=3)
         gains = [r.get("personal_accuracy", 0.0) - r["global_accuracy"] for r in results.values()]
         return float(np.mean(gains)), float(np.mean([r["global_accuracy"] for r in results.values()]))
 

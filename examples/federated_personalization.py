@@ -26,11 +26,11 @@ from repro.federated import (
     EligibilityScheduler,
     FederatedClient,
     FederatedEngine,
-    FederatedServer,
     RoundScenario,
     TopKSparsifier,
     TrimmedMeanAggregator,
     centralized_baseline,
+    personalize_all,
 )
 from repro.nn import make_mlp
 
@@ -99,8 +99,7 @@ def main() -> None:
           f"byzantine updates trimmed={sum(r.n_byzantine for r in robust.history)}")
 
     # --- personalization: each machine overfits to its own signature ---------
-    server = FederatedServer(global_model, clients, eval_data=(eval_x, eval_y))
-    results = server.personalize_all(epochs=3)
+    results = personalize_all(global_model, clients, epochs=3)
     gains = [r.get("personal_accuracy", 0.0) - r["global_accuracy"] for r in results.values()]
     print("\npersonalization (local fine-tuning on each machine):")
     print(f"  mean local accuracy: global={np.mean([r['global_accuracy'] for r in results.values()]):.3f} "

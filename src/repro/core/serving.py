@@ -44,8 +44,7 @@ Engine convention (see :mod:`repro.dispatch`): ``serve_fleet`` takes
 (the per-device :meth:`serve_batch` loop kept as the reference) or
 ``engine="sharded"`` (the fleet sweep partitioned across a
 :class:`~repro.runtime.sharded.ShardedFleetRunner` process pool and merged
-at a barrier, byte-identical to ``"batched"``); the old ``batched=``
-boolean keyword still works as a deprecated alias.
+at a barrier, byte-identical to ``"batched"``).
 """
 
 from __future__ import annotations
@@ -445,7 +444,6 @@ class ServingEngine:
         model_name: str,
         traffic: Union[Mapping[str, np.ndarray], Iterable[Mapping[str, np.ndarray]]],
         engine: Optional[str] = None,
-        batched: Optional[bool] = None,
         workers: Optional[int] = None,
     ) -> FleetServeReport:
         """Drive the whole fleet through one window — or a scenario of windows.
@@ -467,13 +465,10 @@ class ServingEngine:
         keep its worker processes alive across calls — you then own its
         ``close()``; a runner built here is closed before returning) and
         merges at a barrier, byte-identical to the batched path — falling
-        back to it single-process when the shards would be degenerate.
-        The boolean ``batched=`` keyword is a
-        deprecated alias (:mod:`repro.dispatch`).
+        back to it single-process when the shards would be degenerate
+        (:mod:`repro.dispatch`).
         """
-        engine = resolve_engine(
-            engine, batched, owner="ServingEngine.serve_fleet", extra=(ENGINE_SHARDED,)
-        )
+        engine = resolve_engine(engine, owner="ServingEngine.serve_fleet", extra=(ENGINE_SHARDED,))
         windows: Iterable[Mapping[str, np.ndarray]]
         if isinstance(traffic, Mapping):
             windows = [traffic]

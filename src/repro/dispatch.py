@@ -2,22 +2,13 @@
 
 The platform keeps two implementations of each hot path: the vectorized
 production path and the scalar predecessor, preserved as the differential
-oracle (standing invariant in ROADMAP.md).  Historically each surface grew
-its own toggle spelling — ``batched=False`` keywords on
-:meth:`~repro.core.serving.ServingEngine.serve_fleet` and the drift
-detectors, a ``run_round_legacy`` method on
-:class:`~repro.federated.engine.FederatedEngine`, a plain
-``GraphExecutor`` fallback in :mod:`repro.exchange.executor`.  This module
-unifies them: every dual-path entry point accepts
+oracle (standing invariant in ROADMAP.md).  Every dual-path entry point
+accepts one toggle:
 
 ``engine="batched"``
     the vectorized path (default everywhere);
 ``engine="oracle"``
     the scalar reference path.
-
-The old spellings remain as thin aliases that emit
-:class:`DeprecationWarning` and forward to the ``engine`` form, so existing
-call sites keep working unchanged.
 
 Fleet-scale surfaces that can distribute work over a
 :class:`~repro.runtime.sharded.ShardedFleetRunner` additionally accept
@@ -40,7 +31,6 @@ that have no distributed implementation keep rejecting it.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Sequence
 
 __all__ = ["ENGINE_BATCHED", "ENGINE_ORACLE", "ENGINE_SHARDED", "resolve_engine"]
@@ -53,36 +43,20 @@ _ENGINES = (ENGINE_BATCHED, ENGINE_ORACLE)
 
 def resolve_engine(
     engine: Optional[str] = None,
-    batched: Optional[bool] = None,
     *,
     default: str = ENGINE_BATCHED,
-    alias: str = "batched",
     owner: str = "",
     extra: Sequence[str] = (),
 ) -> str:
-    """Resolve the ``engine=`` keyword, honoring a deprecated boolean alias.
+    """Validate the ``engine=`` keyword of the ``owner`` call site.
 
-    ``engine`` wins when given and must be ``"batched"``, ``"oracle"`` or
-    one of the surface-specific ``extra`` engines (e.g. ``"sharded"`` on
-    surfaces that pass ``extra=(ENGINE_SHARDED,)``).  A non-``None``
-    ``batched`` (the legacy spelling) maps ``True`` to ``"batched"`` and
-    ``False`` to ``"oracle"`` with a :class:`DeprecationWarning` naming the
-    ``owner`` call site; passing both is an error.  With neither given,
-    ``default`` applies.
+    ``None`` means ``default``; anything else must be ``"batched"``,
+    ``"oracle"`` or one of the surface-specific ``extra`` engines (e.g.
+    ``"sharded"`` on surfaces that pass ``extra=(ENGINE_SHARDED,)``).
     """
-    if engine is not None and batched is not None:
-        raise ValueError(f"{owner or 'call'}: pass engine=..., not both engine= and {alias}=")
-    if engine is not None:
-        allowed = _ENGINES + tuple(extra)
-        if engine not in allowed:
-            raise ValueError(f"{owner or 'call'}: unknown engine {engine!r}; expected one of {allowed}")
-        return engine
-    if batched is not None:
-        warnings.warn(
-            f"{owner or 'this call'}: the {alias}= keyword is deprecated; "
-            f'use engine="batched" / engine="oracle"',
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return ENGINE_BATCHED if batched else ENGINE_ORACLE
-    return default
+    if engine is None:
+        return default
+    allowed = _ENGINES + tuple(extra)
+    if engine not in allowed:
+        raise ValueError(f"{owner or 'call'}: unknown engine {engine!r}; expected one of {allowed}")
+    return engine

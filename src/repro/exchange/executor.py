@@ -250,7 +250,7 @@ def execute_graph(
     """
     from repro.dispatch import ENGINE_BATCHED, ENGINE_ORACLE, resolve_engine
 
-    if resolve_engine(engine, None, default=ENGINE_ORACLE, owner="execute_graph") == ENGINE_BATCHED:
+    if resolve_engine(engine, default=ENGINE_ORACLE, owner="execute_graph") == ENGINE_BATCHED:
         from .compiled import CompiledExecutor
 
         return CompiledExecutor(graph, apply_quantization=apply_quantization).run(x)

@@ -21,6 +21,7 @@ from .compression import (
 from .engine import (
     Cohort,
     FederatedEngine,
+    RoundResult,
     RoundScenario,
     noniid_severity_sweep,
     partition_cohorts,
@@ -28,16 +29,16 @@ from .engine import (
     vectorized_supported,
 )
 from .scheduling import ClientScheduler, EligibilityScheduler, EnergyAwareScheduler, RandomScheduler
-from .server import FederatedServer, RoundResult, centralized_baseline
+from .server import centralized_baseline, personalize_all
 
 __all__ = [
     "FederatedClient",
     "ClientUpdate",
-    "FederatedServer",
     "FederatedEngine",
     "RoundScenario",
     "RoundResult",
     "centralized_baseline",
+    "personalize_all",
     "noniid_severity_sweep",
     "train_clients_batched",
     "vectorized_supported",

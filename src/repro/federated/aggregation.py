@@ -16,6 +16,7 @@ Implements the aggregation rules used by the federated experiments:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,16 +58,16 @@ class FedAvgAggregator(Aggregator):
     def aggregate(self, updates: Sequence[ClientUpdate]) -> np.ndarray:
         if not updates:
             raise ValueError("no updates to aggregate")
-        return self.aggregate_stack(
-            np.stack([u.delta for u in updates], axis=0),
-            np.array([u.n_samples for u in updates], dtype=np.float64),
-        )
+        stacked = np.stack([u.delta for u in updates], axis=0)
+        return np.einsum("c,cd->d", self._weights(updates), stacked, optimize=True)
 
     def aggregate_stack(self, stacked: np.ndarray, n_samples: np.ndarray) -> np.ndarray:
         """FedAvg over an already-stacked ``(clients, dim)`` delta matrix.
 
         The vectorized :class:`~repro.federated.engine.FederatedEngine`
         holds the stack directly, so this skips the per-update objects.
+        :meth:`aggregate` is the reference it must equal bit for bit and
+        deliberately does not call it (``engine="oracle"`` runs no fast path).
         """
         if stacked.shape[0] == 0:
             raise ValueError("no updates to aggregate")
@@ -141,8 +142,10 @@ class SecureAggregator(Aggregator):
         self._inner = FedAvgAggregator()
 
     def _pair_mask(self, id_a: str, id_b: str, dim: int) -> np.ndarray:
-        key = hash((min(id_a, id_b), max(id_a, id_b), self.seed)) & 0xFFFFFFFF
-        rng = np.random.default_rng(key)
+        # A stable digest, not builtin hash(): str hashes are salted per
+        # process, and one seed must replay across restarts.
+        pair = f"{min(id_a, id_b)}|{max(id_a, id_b)}|{self.seed}".encode()
+        rng = np.random.default_rng(int.from_bytes(hashlib.sha256(pair).digest()[:8], "big"))
         return rng.normal(0.0, self.mask_scale, size=dim)
 
     def mask_updates(self, updates: Sequence[ClientUpdate]) -> List[ClientUpdate]:

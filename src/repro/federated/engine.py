@@ -1,9 +1,8 @@
 """Fleet-scale vectorized federated training engine.
 
-The seed-era :class:`~repro.federated.server.FederatedServer` executed a
-round client by client: clone the global model, run local SGD in a Python
-loop, compress one delta at a time.  This module executes the same round
-*fleet-wide*:
+Executed client by client, a round clones the global model, runs local SGD
+in a Python loop and compresses one delta at a time.  This module executes
+the same round *fleet-wide*:
 
 * client shards are stacked into padded 3-D tensors ``(clients, samples,
   features)`` and the local training epochs run as batched matrix products
@@ -28,15 +27,18 @@ loop, compress one delta at a time.  This module executes the same round
   straggler timeouts and byzantine clients injecting scaled / sign-flipped
   deltas (exercised against :class:`TrimmedMeanAggregator`).
 
-The legacy per-client loop is preserved behind
-``run_round(..., engine="oracle")`` (the unified toggle convention of
-:mod:`repro.dispatch`; the old :meth:`FederatedEngine.run_round_legacy`
-spelling survives as a deprecated alias) so benchmarks can assert the
-vectorized path stays equivalent and at least an order of magnitude faster
-(``bench_e6``), mirroring the batched-serving guardrail of ``bench_e1``.
-``run_round(..., engine="sharded")`` additionally distributes the batched
-cohorts across a process pool (:mod:`repro.runtime.sharded`) and merges the
-delta stack at a barrier, byte-identical to the in-process batched path.
+:meth:`FederatedEngine.run_round` is the only round transaction; its
+``engine=`` (:mod:`repro.dispatch`) picks just the three kernels that
+differ — *collect*, *compress*, *aggregate*.  ``engine="oracle"`` is the
+scalar reference: one ``train_round`` per contributor (each its own
+single-client cohort, so checkpoints and interrupts count clients), the
+base-class per-row compressor loop and ``aggregator.aggregate(updates)``.
+It runs no batched kernel, so the equivalence suites and the order-of-
+magnitude guardrail of ``bench_e6`` compare independent computations; its
+one pinned quirk is under *Known divergence* on ``run_round``.
+``engine="sharded"`` distributes the batched cohorts across a process pool
+(:mod:`repro.runtime.sharded`) and merges the delta stack at a barrier,
+byte-identical to the in-process batched path.
 
 **Extending the batched trainer** (the federated twin of the fused-kernel
 recipe in :mod:`repro.exchange.compiled`):
@@ -64,7 +66,6 @@ recipe in :mod:`repro.exchange.compiled`):
 from __future__ import annotations
 
 import math
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -851,7 +852,8 @@ class _RoundPlan:
 class FederatedEngine:
     """Executes federated rounds fleet-wide instead of client-by-client.
 
-    Parameters mirror the seed-era ``FederatedServer`` plus:
+    Beyond the model, clients, aggregator, compressor, scheduler and
+    ``eval_data``:
 
     fleet:
         A :class:`~repro.devices.fleet.Fleet` whose live device state
@@ -891,8 +893,8 @@ class FederatedEngine:
         retries (defaults to ``RetryPolicy()`` when an injector is set).
     checkpoints:
         Optional :class:`repro.faults.CheckpointStore`.  When set, the
-        batched round loop persists a :class:`RoundCheckpoint` after
-        selection and after every completed cohort sweep; a
+        round persists a :class:`RoundCheckpoint` after selection and after
+        every completed cohort sweep (every client on the oracle); a
         ``RoundInterrupted`` round re-issued against the same store
         resumes from the checkpoint and commits byte-identically to an
         uninterrupted run.
@@ -1252,9 +1254,16 @@ class FederatedEngine:
         contributors: Sequence[str],
         round_index: Optional[int] = None,
         checkpoint: Optional[RoundCheckpoint] = None,
+        per_client: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Local training for the contributors: one vectorized sweep per
         homogeneous cohort, per-client fallback for the rest.
+
+        ``per_client`` is the oracle's collect kernel: every contributor
+        is its own single-client ``"fallback"`` cohort at ``position`` =
+        its row — never ``"idle"``, so a zero-sample contributor is still
+        ``train_round``-ed — which makes checkpoints, restores and
+        ``interrupt_after`` count *clients* there, through the same code.
 
         With a ``checkpoint``, already-recorded cohorts are restored
         instead of retrained (their sweeps are pure functions of the
@@ -1271,7 +1280,11 @@ class FederatedEngine:
         accs = np.zeros(len(clients))
         inj = self.fault_injector if checkpoint is not None else None
         completed = 0
-        for position, cohort in enumerate(partition_cohorts(self.global_model, clients)):
+        if per_client:
+            cohorts = [Cohort("fallback", ("client",), (row,)) for row in range(len(clients))]
+        else:
+            cohorts = partition_cohorts(self.global_model, clients)
+        for position, cohort in enumerate(cohorts):
             if cohort.kind == "idle":
                 continue  # zero-sample clients keep their zero rows
             if checkpoint is not None and position in checkpoint.cohorts:
@@ -1287,26 +1300,19 @@ class FederatedEngine:
                 if after is not None and completed >= after:
                     inj.fire_interrupt(round_index)
                     raise RoundInterrupted(round_index, self.checkpoints.put(checkpoint))
+            idx = list(cohort.indices)
             if cohort.batched:
-                sub = [clients[i] for i in cohort.indices]
+                sub = [clients[i] for i in idx]
                 d, l, a = train_clients_batched(self.global_model, sub)
-                idx = list(cohort.indices)
                 deltas[idx] = d
                 losses[idx] = l
                 accs[idx] = a
             else:
-                idx = list(cohort.indices)
-                d = np.zeros((len(idx), n_params))
-                l = np.zeros(len(idx))
-                a = np.zeros(len(idx))
-                for j, i in enumerate(idx):
+                for i in idx:
                     update = clients[i].train_round(self.global_model)
-                    d[j] = update.delta
-                    l[j] = update.local_loss
-                    a[j] = update.metrics.get("local_accuracy", 0.0)
-                deltas[idx] = d
-                losses[idx] = l
-                accs[idx] = a
+                    deltas[i] = update.delta
+                    losses[i] = update.local_loss
+                    accs[i] = update.metrics.get("local_accuracy", 0.0)
             completed += 1
             if checkpoint is not None:
                 checkpoint.record_cohort(position, idx, deltas[idx], losses[idx], accs[idx])
@@ -1330,34 +1336,44 @@ class FederatedEngine:
     ) -> RoundResult:
         """Execute one round and append its result to ``history``.
 
-        ``engine="batched"`` (default) runs the vectorized cohort sweep;
-        ``engine="oracle"`` runs the seed-era per-client loop kept as the
-        equivalence and performance baseline; ``engine="sharded"``
-        distributes the batched cohorts across ``workers`` processes (a
+        One transaction serves every engine: resume-or-plan → abort /
+        empty short-circuits → checkpoint → *collect* → byzantine
+        corruption → *compress* → filter delivered → *aggregate* → energy
+        drain → commit.  ``engine=`` (:mod:`repro.dispatch`) picks only the
+        three kernels: ``"batched"`` (default) runs one vectorized sweep
+        per cohort, the compressor's own ``roundtrip_batch`` and
+        ``aggregate_stack`` for plain FedAvg; ``"oracle"`` runs one
+        ``train_round`` per contributor, the base-class per-row compressor
+        loop and ``aggregator.aggregate(updates)`` — no batched kernel,
+        hence the differential reference; ``"sharded"`` spreads the batched
+        cohorts over ``workers`` processes (a
         :class:`~repro.runtime.sharded.ShardedFleetRunner`; assign
         :attr:`shard_runner` to customize backend/timeouts and to reuse its
         worker processes across rounds — you then own its ``close()``; a
-        runner built here is closed before returning) and merges the
-        delta stack at a barrier, byte-identical to the batched path
-        (:mod:`repro.dispatch`).
+        runner built here is closed before returning) and merges them at a
+        barrier, byte-identical to batched.
 
         Fault semantics (``fault_injector`` / ``quorum`` /
         ``checkpoints``, see :mod:`repro.faults`): crashes, delivery
         verdicts and the quorum check resolve *before* training
-        (:meth:`_plan_round`) identically on every engine path; a quorum
-        shortfall aborts with zero side effects.  With a checkpoint
-        store the cohort sweeps run in-process even under
-        ``engine="sharded"`` (the sharded merge is all-or-nothing and
-        byte-identical, so checkpointing mid-dispatch would add nothing)
-        and a fault-plan coordinator interrupt raises
+        (:meth:`_plan_round`); a quorum shortfall aborts with zero side
+        effects.  With a checkpoint store the sweeps run in-process even
+        under ``engine="sharded"`` (the sharded merge is all-or-nothing
+        and byte-identical, so checkpointing mid-dispatch would add
+        nothing) and a fault-plan coordinator interrupt raises
         :class:`~repro.faults.RoundInterrupted`; re-issuing the same
-        ``run_round`` resumes from the checkpoint byte-identically.
+        ``run_round`` resumes from the checkpoint byte-identically, in a
+        fresh process too.  Checkpoints are per *cohort* on batched /
+        sharded and per *client* on the oracle (position = contributor
+        row; the plan's ``after_cohorts`` counts completed clients there).
+
+        Known divergence, pinned (``tests/pins``: ``fleet/oracle``): with
+        no scenario, injector or quorum the oracle skips the training
+        energy drain the other engines apply, as the seed-era loop did.
+        Aligning it is a ``[behaviour]`` PR of its own.
         """
-        engine = resolve_engine(
-            engine, None, owner="FederatedEngine.run_round", extra=(ENGINE_SHARDED,)
-        )
-        if engine == ENGINE_ORACLE:
-            return self._run_round_oracle(round_index, device_context=device_context)
+        engine = resolve_engine(engine, owner="FederatedEngine.run_round", extra=(ENGINE_SHARDED,))
+        oracle = engine == ENGINE_ORACLE
         runner = None
         if engine == ENGINE_SHARDED:
             from repro.runtime.sharded import ShardedFleetRunner
@@ -1413,11 +1429,14 @@ class FederatedEngine:
                     runner.close()  # a runner built for this call owns processes
         else:
             deltas, losses, accs = self._collect_deltas(
-                contributors, round_index=round_index, checkpoint=checkpoint
+                contributors, round_index=round_index, checkpoint=checkpoint, per_client=oracle
             )
             shard_recoveries = 0
         n_byzantine = self._corrupt_deltas(contributors, deltas)
-        decompressed, nbytes = self.compressor.roundtrip_batch(deltas)
+        if oracle:
+            decompressed, nbytes = UpdateCompressor.roundtrip_batch(self.compressor, deltas)
+        else:
+            decompressed, nbytes = self.compressor.roundtrip_batch(deltas)
         if plan.delivered_rows is None:
             rows = None
             participants = list(contributors)
@@ -1435,7 +1454,7 @@ class FederatedEngine:
             n_samples = np.array(
                 [self.clients[cid].n_samples for cid in participants], dtype=np.float64
             )
-            if type(self.aggregator) is FedAvgAggregator:
+            if type(self.aggregator) is FedAvgAggregator and not oracle:
                 # Fast path: we already hold the stack FedAvg would build,
                 # so skip the per-update object churn.
                 delta = self.aggregator.aggregate_stack(kept, n_samples)
@@ -1459,7 +1478,8 @@ class FederatedEngine:
             # to abort): the round commits no delta.
             train_loss = 0.0
             mean_local_accuracy = 0.0
-        self._drain_training_energy(list(contributors) + stragglers)
+        if not (oracle and plan.trivial):  # known divergence, see the docstring
+            self._drain_training_energy(list(contributors) + stragglers)
 
         result = RoundResult(
             round_index=round_index,
@@ -1474,182 +1494,6 @@ class FederatedEngine:
             n_stragglers=plan.n_stragglers,
             n_byzantine=n_byzantine,
             shard_recoveries=shard_recoveries,
-            n_crashes=plan.n_crashes,
-            n_delivery_failures=plan.n_delivery_failures,
-            n_retransmits=plan.n_retransmits,
-            n_duplicates=plan.n_duplicates,
-            quorum_required=plan.quorum_required,
-        )
-        return self._finish_round(round_index, result)
-
-    def run_round_legacy(
-        self, round_index: int, device_context: Optional[Dict[str, Dict[str, object]]] = None
-    ) -> RoundResult:
-        """Deprecated alias for ``run_round(..., engine="oracle")``."""
-        warnings.warn(
-            'FederatedEngine.run_round_legacy is deprecated; use run_round(..., engine="oracle")',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_round_oracle(round_index, device_context=device_context)
-
-    def _run_round_oracle(
-        self, round_index: int, device_context: Optional[Dict[str, Dict[str, object]]] = None
-    ) -> RoundResult:
-        """The seed-era per-client round loop, kept as the equivalence and
-        performance baseline for ``bench_e6``.
-
-        Scenarios and the fault plane resolve through the same
-        :meth:`_plan_round` as the batched path — the dropout/straggler/
-        byzantine RNG draws, crash sets, delivery verdicts and quorum
-        decision are *identical* across ``engine="batched"|"oracle"|
-        "sharded"`` (a differential test asserts this); only the local
-        training and aggregation arithmetic stay scalar.  With no
-        scenario, injector or quorum configured the loop is byte-for-byte
-        the seed-era baseline (participants = selection, no energy
-        drain), preserving every pre-fault-plane comparison.
-
-        With a checkpoint store the loop checkpoints at *client*
-        granularity (one single-row cohort per contributor, position =
-        contributor row): a fault-plan interrupt's ``after_cohorts``
-        therefore counts completed clients here, and a resumed round
-        restores finished clients' deltas and trains only the rest —
-        byte-identical to an uninterrupted oracle round, across process
-        boundaries too (``train_round`` reseeds per call, so replay is
-        exact).
-        """
-        resume = None
-        if self.checkpoints is not None:
-            resume = self.checkpoints.latest_for(round_index, self._weights_digest())
-        if resume is not None:
-            selected = list(resume.selected)
-            plan = self._plan_from_checkpoint(resume)
-            self._restore_scheduler_rng(resume.scheduler_state)
-            if self.fault_injector is not None:
-                self.fault_injector.fire_interrupt(round_index)
-        else:
-            context = device_context if device_context is not None else self.fleet_context()
-            selected = self.scheduler.select(list(self.clients), round_index, context=context)
-            if not selected:
-                result = RoundResult(round_index, [], 0.0, self._evaluate(), 0, 0)
-                return self._finish_round(round_index, result)
-            plan = self._plan_round(round_index, selected)
-        if plan.aborted:
-            return self._abort_result(round_index, plan)
-        contributors, stragglers = plan.contributors, plan.stragglers
-        downlink = self._model_bytes * len(selected)
-        if not contributors:
-            self._drain_training_energy(stragglers)
-            result = RoundResult(
-                round_index, [], 0.0, self._evaluate(), 0, int(downlink),
-                n_selected=len(selected), n_dropouts=plan.n_dropouts,
-                n_stragglers=plan.n_stragglers, n_crashes=plan.n_crashes,
-                quorum_required=plan.quorum_required,
-            )
-            return self._finish_round(round_index, result)
-        checkpoint = resume
-        if self.checkpoints is not None and checkpoint is None:
-            checkpoint = self._checkpoint_for(round_index, plan)
-            self.checkpoints.put(checkpoint)
-        sc = self.scenario
-        byz_factor = 1.0
-        if sc is not None and sc.byzantine_ids:
-            byz_factor = -sc.byzantine_scale if sc.byzantine_mode == "flip" else sc.byzantine_scale
-        inj = self.fault_injector if checkpoint is not None else None
-        raw: List[ClientUpdate] = []
-        completed = 0
-        for row, cid in enumerate(contributors):
-            if checkpoint is not None and row in checkpoint.cohorts:
-                payload = checkpoint.cohorts[row]
-                client = self.clients[cid]
-                raw.append(
-                    ClientUpdate(
-                        client_id=cid,
-                        delta=payload["deltas"][0].copy(),
-                        n_samples=client.n_samples,
-                        local_loss=float(payload["losses"][0]),
-                        metrics={"local_accuracy": float(payload["accs"][0])}
-                        if client.n_samples > 0
-                        else {},
-                    )
-                )
-                completed += 1
-                continue
-            if inj is not None:
-                after = inj.interrupt_after(round_index)
-                if after is not None and completed >= after:
-                    inj.fire_interrupt(round_index)
-                    raise RoundInterrupted(round_index, self.checkpoints.put(checkpoint))
-            update = self.clients[cid].train_round(self.global_model)
-            raw.append(update)
-            completed += 1
-            if checkpoint is not None:
-                checkpoint.record_cohort(
-                    row,
-                    [row],
-                    update.delta[None, :],
-                    [update.local_loss],
-                    [update.metrics.get("local_accuracy", 0.0)],
-                )
-                self.checkpoints.put(checkpoint)
-        if inj is not None:
-            after = inj.interrupt_after(round_index)
-            if after is not None and completed >= after:
-                inj.fire_interrupt(round_index)
-                raise RoundInterrupted(round_index, self.checkpoints.put(checkpoint))
-        updates: List[ClientUpdate] = []
-        uplink = 0
-        n_byzantine = 0
-        for row, (cid, update) in enumerate(zip(contributors, raw)):
-            delta_out = update.delta
-            if byz_factor != 1.0 and cid in sc.byzantine_ids:
-                delta_out = delta_out * byz_factor
-                n_byzantine += 1
-            decompressed, compressed = self.compressor.roundtrip(delta_out)
-            tx = 1 if plan.tx_counts is None else plan.tx_counts[row]
-            uplink += compressed.nbytes * tx
-            updates.append(
-                ClientUpdate(
-                    client_id=update.client_id,
-                    delta=decompressed,
-                    n_samples=update.n_samples,
-                    local_loss=update.local_loss,
-                    metrics=update.metrics,
-                )
-            )
-        if plan.delivered_rows is None:
-            delivered = updates
-            participants = list(contributors)
-        else:
-            delivered = [updates[i] for i in plan.delivered_rows]
-            participants = [contributors[i] for i in plan.delivered_rows]
-        if delivered:
-            delta = self.aggregator.aggregate(delivered)
-            self.global_model.set_flat_weights(self.global_model.get_flat_weights() + delta)
-            train_loss = float(np.mean([u.local_loss for u in delivered]))
-            mean_local_accuracy = float(
-                np.mean([u.metrics.get("local_accuracy", 0.0) for u in delivered])
-            )
-        else:
-            train_loss = 0.0
-            mean_local_accuracy = 0.0
-        if not plan.trivial:
-            # The seed-era baseline never drained energy; fault/scenario
-            # runs mirror the batched path so fleet planes stay comparable
-            # across engines.
-            self._drain_training_energy(list(contributors) + stragglers)
-        result = RoundResult(
-            round_index=round_index,
-            participants=participants,
-            train_loss=train_loss,
-            global_accuracy=self._evaluate(),
-            uplink_bytes=int(uplink),
-            downlink_bytes=int(downlink),
-            mean_local_accuracy=mean_local_accuracy,
-            n_selected=len(selected),
-            n_dropouts=plan.n_dropouts,
-            n_stragglers=plan.n_stragglers,
-            n_byzantine=n_byzantine,
             n_crashes=plan.n_crashes,
             n_delivery_failures=plan.n_delivery_failures,
             n_retransmits=plan.n_retransmits,

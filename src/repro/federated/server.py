@@ -1,72 +1,35 @@
-"""Federated server: orchestrates rounds, tracks communication and accuracy.
+"""Client-facing extras around the federated round loop.
 
-The :class:`FederatedServer` owns the global model and drives rounds:
-select clients (scheduler) → broadcast the global weights → collect locally
-trained updates → optionally compress / securely aggregate → apply the
-aggregated delta → evaluate.  It accounts the bytes exchanged per round so
-experiment E6 can compare compression schemes.
-
-Round execution lives in :class:`~repro.federated.engine.FederatedEngine`:
-``run_round`` buckets the selected clients into homogeneous cohorts
-(optimizer family × batch size × epochs, via
-:func:`~repro.federated.engine.partition_cohorts`) and trains each cohort
-in one stacked batched sweep — SGD, momentum and Adam clients, with or
-without Dropout — falling back to the per-client loop only for genuinely
-unreplayable configurations, while ``run_round_legacy`` keeps the seed-era
-loop as the equivalence baseline.  The server adds the client-facing
-extras — personalization and the centralized upper-bound baseline.
+Round execution — select clients, broadcast, collect locally trained
+updates, compress, aggregate, apply, evaluate, with per-round byte
+accounting — lives in :class:`~repro.federated.engine.FederatedEngine`.
+This module adds what is not a round: per-client personalization of the
+trained global model and the centralized upper-bound baseline of
+experiment E6.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.model import Sequential
 
-from .aggregation import Aggregator
 from .client import FederatedClient
-from .compression import UpdateCompressor
-from .engine import FederatedEngine, RoundResult
-from .scheduling import ClientScheduler
 
-__all__ = ["RoundResult", "FederatedServer", "centralized_baseline"]
+__all__ = ["personalize_all", "centralized_baseline"]
 
 
-class FederatedServer(FederatedEngine):
-    """Coordinates federated training across a set of clients.
-
-    A thin facade over :class:`FederatedEngine` keeping the seed-era
-    constructor signature (no fleet wiring) plus per-client
-    personalization.
-    """
-
-    def __init__(
-        self,
-        global_model: Sequential,
-        clients: Sequence[FederatedClient],
-        aggregator: Optional[Aggregator] = None,
-        compressor: Optional[UpdateCompressor] = None,
-        scheduler: Optional[ClientScheduler] = None,
-        eval_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> None:
-        super().__init__(
-            global_model,
-            clients,
-            aggregator=aggregator,
-            compressor=compressor,
-            scheduler=scheduler,
-            eval_data=eval_data,
-        )
-
-    def personalize_all(self, epochs: int = 3) -> Dict[str, Dict[str, float]]:
-        """Personalize every client and report global-vs-personal accuracy."""
-        results: Dict[str, Dict[str, float]] = {}
-        for cid, client in self.clients.items():
-            client.personalize(self.global_model, epochs=epochs)
-            results[cid] = client.evaluate_models(self.global_model)
-        return results
+def personalize_all(
+    model: Sequential, clients: Sequence[FederatedClient], epochs: int = 3
+) -> Dict[str, Dict[str, float]]:
+    """Personalize every client and report global-vs-personal accuracy."""
+    results: Dict[str, Dict[str, float]] = {}
+    for client in clients:
+        client.personalize(model, epochs=epochs)
+        results[client.client_id] = client.evaluate_models(model)
+    return results
 
 
 def centralized_baseline(

@@ -29,9 +29,8 @@ Two scoring paths produce the same statistics:
   handful of vectorized NumPy calls, with statistics bit-identical to the
   oracle (the differential suite in ``tests/observability`` asserts exact
   equality).  Detectors default to the batched path; construct them with
-  ``engine="oracle"`` (the unified toggle of :mod:`repro.dispatch`; the old
-  ``batched=False`` keyword is a deprecated alias) to keep the oracle in
-  the hot loop (benchmarks use this as the baseline).
+  ``engine="oracle"`` (the unified toggle of :mod:`repro.dispatch`) to keep
+  the oracle in the hot loop (benchmarks use this as the baseline).
 """
 
 from __future__ import annotations
@@ -366,7 +365,7 @@ class StreamingDriftDetector:
     ``engine`` selects the scoring path (:mod:`repro.dispatch` convention):
     ``"batched"`` (default) is the vectorized all-columns-at-once
     implementation, ``"oracle"`` the per-column loop it is bit-identical
-    to.  The boolean ``batched=`` keyword is a deprecated alias.
+    to.
     """
 
     name = "base"
@@ -376,13 +375,12 @@ class StreamingDriftDetector:
         reference: np.ndarray,
         threshold: float,
         engine: Optional[str] = None,
-        batched: Optional[bool] = None,
     ) -> None:
         self.reference = np.asarray(reference, dtype=np.float64)
         if self.reference.size == 0:
             raise ValueError("reference sample must be non-empty")
         self.threshold = float(threshold)
-        self.engine = resolve_engine(engine, batched, owner=f"{type(self).__name__}()")
+        self.engine = resolve_engine(engine, owner=f"{type(self).__name__}()")
         self.batched = self.engine == ENGINE_BATCHED
         self.history: List[DriftResult] = []
         self._ref_sorted: Optional[np.ndarray] = None
@@ -480,10 +478,9 @@ class KSDetector(StreamingDriftDetector):
         reference: np.ndarray,
         threshold: float = 0.25,
         engine: Optional[str] = None,
-        batched: Optional[bool] = None,
     ) -> None:
         ref = np.asarray(reference, dtype=np.float64)
-        super().__init__(ref if ref.ndim == 2 else ref.ravel(), threshold, engine=engine, batched=batched)
+        super().__init__(ref if ref.ndim == 2 else ref.ravel(), threshold, engine=engine)
         if self.batched:
             _ = self.reference_sorted  # sort the reference once, at construction
 
@@ -504,10 +501,9 @@ class PSIDetector(StreamingDriftDetector):
         threshold: float = 1.0,
         bins: int = 10,
         engine: Optional[str] = None,
-        batched: Optional[bool] = None,
     ) -> None:
         ref = np.asarray(reference, dtype=np.float64)
-        super().__init__(ref if ref.ndim == 2 else ref.ravel(), threshold, engine=engine, batched=batched)
+        super().__init__(ref if ref.ndim == 2 else ref.ravel(), threshold, engine=engine)
         self.bins = int(bins)
         if self.batched:
             _ = self.reference_sorted
@@ -533,10 +529,9 @@ class JSDetector(StreamingDriftDetector):
         threshold: float = 0.25,
         bins: int = 32,
         engine: Optional[str] = None,
-        batched: Optional[bool] = None,
     ) -> None:
         ref = np.asarray(reference, dtype=np.float64)
-        super().__init__(ref if ref.ndim == 2 else ref.ravel(), threshold, engine=engine, batched=batched)
+        super().__init__(ref if ref.ndim == 2 else ref.ravel(), threshold, engine=engine)
         self.bins = int(bins)
         if self.batched:
             _ = self.reference_sorted
@@ -569,9 +564,8 @@ class MMDDetector(StreamingDriftDetector):
         max_samples: int = 256,
         seed: int = 0,
         engine: Optional[str] = None,
-        batched: Optional[bool] = None,
     ) -> None:
-        super().__init__(np.asarray(reference), threshold, engine=engine, batched=batched)
+        super().__init__(np.asarray(reference), threshold, engine=engine)
         self.max_samples = int(max_samples)
         self.seed = int(seed)
 

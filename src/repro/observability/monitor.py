@@ -65,7 +65,7 @@ class EdgeMonitor:
         Detector scoring path (:mod:`repro.dispatch` convention):
         ``"batched"`` (default) is the vectorized all-columns-at-once path,
         ``"oracle"`` the per-column loop the benchmarks use as the
-        baseline.  The boolean ``batched=`` keyword is a deprecated alias.
+        baseline.
     """
 
     def __init__(
@@ -78,9 +78,8 @@ class EdgeMonitor:
         model_version: str = "",
         thresholds: Optional[Dict[str, float]] = None,
         engine: Optional[str] = None,
-        batched: Optional[bool] = None,
     ) -> None:
-        engine = resolve_engine(engine, batched, owner="EdgeMonitor()")
+        engine = resolve_engine(engine, owner="EdgeMonitor()")
         self.device_id = device_id
         reference_inputs = np.asarray(reference_inputs, dtype=np.float64)
         flat_ref = reference_inputs.reshape(reference_inputs.shape[0], -1)

@@ -395,7 +395,7 @@ class TestFleetSweep:
         for d in dev_b + dev_l:
             d.battery.level_j = battery_j
         rb = eng_b.serve_fleet("m", [dict(w) for w in windows])
-        rl = eng_l.serve_fleet("m", [dict(w) for w in windows], batched=False)
+        rl = eng_l.serve_fleet("m", [dict(w) for w in windows], engine="oracle")
         assert rb.as_dict() == rl.as_dict()
         assert rb.per_device == rl.per_device
         for i in range(6):
@@ -457,7 +457,7 @@ class TestFleetSweep:
             return orig_run(*args, **kwargs)
 
         plan.run = counting_run
-        engine.serve_fleet("m", windows, batched=False)
+        engine.serve_fleet("m", windows, engine="oracle")
         assert calls["run"] == len(windows) * 6
 
     def test_fleet_monitor_cache_invalidated_on_redeploy(self):

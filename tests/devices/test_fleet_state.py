@@ -340,21 +340,15 @@ def test_network_round_trip_and_custom_kinds():
 
 
 def test_resolve_engine_contract():
-    assert resolve_engine(None, None) == "batched"
-    assert resolve_engine("oracle", None) == "oracle"
-    assert resolve_engine(None, None, default="oracle") == "oracle"
-    with pytest.warns(DeprecationWarning):
-        assert resolve_engine(None, False) == "oracle"
-    with pytest.warns(DeprecationWarning):
-        assert resolve_engine(None, True) == "batched"
-    with pytest.raises(ValueError, match="not both"):
-        resolve_engine("batched", True)
+    assert resolve_engine(None) == "batched"
+    assert resolve_engine("oracle") == "oracle"
+    assert resolve_engine(None, default="oracle") == "oracle"
     with pytest.raises(ValueError, match="unknown engine"):
-        resolve_engine("turbo", None)
+        resolve_engine("turbo")
 
 
 def test_engine_keyword_on_dual_path_surfaces():
-    """Every dual-path surface takes engine=; old spellings warn but work."""
+    """Every dual-path surface takes engine=, without warning."""
     from repro.exchange import execute_graph, from_sequential
     from repro.nn import make_mlp
     from repro.observability import EdgeMonitor, KSDetector
@@ -369,9 +363,6 @@ def test_engine_keyword_on_dual_path_surfaces():
         monitor = EdgeMonitor("dev-0", ref, detectors=("ks", "psi"), engine="oracle")
     assert not oracle_det.batched and batched_det.batched
     assert all(not det.batched for det in monitor.detectors.values())
-    with pytest.warns(DeprecationWarning):
-        legacy_det = KSDetector(ref, batched=False)
-    assert not legacy_det.batched and legacy_det.engine == "oracle"
     live = rng.normal(size=(32, 4))
     assert oracle_det.score(live) == batched_det.score(live)
 
@@ -383,25 +374,3 @@ def test_engine_keyword_on_dual_path_surfaces():
         execute_graph(graph, x, engine="batched"),
         atol=1e-9,
     )
-
-
-def test_run_round_legacy_is_deprecated_alias():
-    from repro.data import make_gaussian_blobs, partition_iid
-    from repro.federated import FederatedClient, FederatedEngine
-    from repro.nn import make_mlp
-
-    def world():
-        ds = make_gaussian_blobs(80, 6, 3, seed=0)
-        parts = partition_iid(ds, 4, seed=0)
-        clients = [FederatedClient(p, local_epochs=1, seed=i) for i, p in enumerate(parts)]
-        return FederatedEngine(make_mlp(6, 3, hidden=(8,), seed=0), clients)
-
-    via_alias, via_engine = world(), world()
-    with pytest.warns(DeprecationWarning, match="run_round_legacy"):
-        r_alias = via_alias.run_round_legacy(0)
-    r_engine = via_engine.run_round(0, engine="oracle")
-    np.testing.assert_array_equal(
-        via_alias.global_model.get_flat_weights(), via_engine.global_model.get_flat_weights()
-    )
-    assert r_alias.participants == r_engine.participants
-    assert r_alias.uplink_bytes == r_engine.uplink_bytes

@@ -12,6 +12,11 @@ Three invariants the round loop silently relies on:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -97,6 +102,27 @@ class TestSecureAggregationMasksCancel:
         masked_sum = np.einsum("c,cd->d", weights, np.stack([u.delta for u in masked]))
         plain_sum = np.einsum("c,cd->d", weights, deltas)
         np.testing.assert_allclose(masked_sum, plain_sum, atol=1e-8)
+
+    def test_rounds_do_not_depend_on_the_process_hash_salt(self):
+        """One seed replays across process restarts: the pair masks leave
+        float residue in the weights, so their RNG key must not come from
+        ``hash()`` of client-id strings (salted per process)."""
+        tests = Path(__file__).resolve().parents[1]
+        script = (
+            "from _sharded_worlds import federated_world, run_rounds\n"
+            "from repro.federated import SecureAggregator\n"
+            "fed = federated_world(4, 8)\n"
+            "fed.aggregator = SecureAggregator(seed=3)\n"
+            "run_rounds(fed, 2)\n"
+            "print(fed.global_model.get_flat_weights().tobytes().hex())\n"
+        )
+        weights = []
+        for salt in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=salt,
+                       PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests / "runtime")]))
+            weights.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                          capture_output=True, text=True, timeout=60).stdout)
+        assert weights[0] and weights[0] == weights[1]
 
 
 class TestTrimmedMeanBoundedByHonestRange:

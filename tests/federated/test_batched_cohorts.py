@@ -58,7 +58,7 @@ def _model(dropout=0.0, hidden=(12, 8)):
 
 def _assert_equiv(vec, leg, rounds=1, atol=1e-9):
     for r in range(rounds):
-        rv, rl = vec.run_round(r), leg.run_round_legacy(r)
+        rv, rl = vec.run_round(r), leg.run_round(r, engine="oracle")
         assert rv.participants == rl.participants
         assert rv.uplink_bytes == rl.uplink_bytes
         assert np.isclose(rv.train_loss, rl.train_loss, atol=atol)
@@ -239,12 +239,12 @@ class TestDropoutStreams:
         train, test = task
         mk = lambda: FederatedEngine(_model(0.3), _clients(train, optimizer="adam"), eval_data=(test.x, test.y))
         mixed, pure = mk(), mk()
-        mixed.run_round_legacy(0)
-        pure.run_round_legacy(0)
+        mixed.run_round(0, engine="oracle")
+        pure.run_round(0, engine="oracle")
         mixed.run_round(1)
-        pure.run_round_legacy(1)
-        mixed.run_round_legacy(2)
-        pure.run_round_legacy(2)
+        pure.run_round(1, engine="oracle")
+        mixed.run_round(2, engine="oracle")
+        pure.run_round(2, engine="oracle")
         np.testing.assert_allclose(
             mixed.global_model.get_flat_weights(), pure.global_model.get_flat_weights(), atol=1e-9
         )
@@ -263,7 +263,7 @@ class TestDropoutStreams:
 
         vec = FederatedEngine(explicit(), _clients(train), eval_data=(test.x, test.y))
         leg = FederatedEngine(explicit(), _clients(train), eval_data=(test.x, test.y))
-        rv, rl = vec.run_round(0), leg.run_round_legacy(0)
+        rv, rl = vec.run_round(0), leg.run_round(0, engine="oracle")
         assert rv.participants == rl.participants
         np.testing.assert_allclose(
             vec.global_model.get_flat_weights(), leg.global_model.get_flat_weights(), atol=1e-9
@@ -336,7 +336,7 @@ class TestHypothesisEquivalence:
             return FederatedEngine(make_mlp(6, 3, hidden=(8,), dropout=dropout, seed=0), clients)
 
         vec, leg = mk(), mk()
-        rv, rl = vec.run_round(0), leg.run_round_legacy(0)
+        rv, rl = vec.run_round(0), leg.run_round(0, engine="oracle")
         assert rv.participants == rl.participants
         assert np.isclose(rv.train_loss, rl.train_loss, atol=1e-9)
         np.testing.assert_allclose(

@@ -12,7 +12,6 @@ from repro.devices.network import NetworkType
 from repro.federated import (
     FederatedClient,
     FederatedEngine,
-    FederatedServer,
     RandomScheduler,
     RoundScenario,
     TrimmedMeanAggregator,
@@ -70,7 +69,7 @@ class TestVectorizedEquivalence:
         vec, leg = _pair(train, test, **kwargs)
         w0 = vec.global_model.get_flat_weights().copy()
         rv = vec.run_round(0)
-        rl = leg.run_round_legacy(0)
+        rl = leg.run_round(0, engine="oracle")
         _assert_rounds_equal(rv, rl)
         dv = vec.global_model.get_flat_weights() - w0
         dl = leg.global_model.get_flat_weights() - w0
@@ -80,7 +79,7 @@ class TestVectorizedEquivalence:
         train, test = task
         vec, leg = _pair(train, test)
         for r in range(3):
-            _assert_rounds_equal(vec.run_round(r), leg.run_round_legacy(r))
+            _assert_rounds_equal(vec.run_round(r), leg.run_round(r, engine="oracle"))
         np.testing.assert_allclose(
             vec.global_model.get_flat_weights(), leg.global_model.get_flat_weights(), atol=1e-9
         )
@@ -88,7 +87,7 @@ class TestVectorizedEquivalence:
     def test_fedprox_clients_match_legacy(self, task):
         train, test = task
         vec, leg = _pair(train, test, client_kwargs={"proximal_mu": 0.5})
-        _assert_rounds_equal(vec.run_round(0), leg.run_round_legacy(0))
+        _assert_rounds_equal(vec.run_round(0), leg.run_round(0, engine="oracle"))
         np.testing.assert_allclose(
             vec.global_model.get_flat_weights(), leg.global_model.get_flat_weights(), atol=1e-9
         )
@@ -102,7 +101,7 @@ class TestVectorizedEquivalence:
         )
         vec = FederatedEngine(make_mlp(12, 4, hidden=(16,), seed=0), clients + [empty], eval_data=(test.x, test.y))
         leg = FederatedEngine(make_mlp(12, 4, hidden=(16,), seed=0), clients + [empty], eval_data=(test.x, test.y))
-        _assert_rounds_equal(vec.run_round(0), leg.run_round_legacy(0))
+        _assert_rounds_equal(vec.run_round(0), leg.run_round(0, engine="oracle"))
         np.testing.assert_allclose(
             vec.global_model.get_flat_weights(), leg.global_model.get_flat_weights(), atol=1e-9
         )
@@ -124,7 +123,7 @@ class TestVectorizedEquivalence:
         assert [c.kind for c in cohorts] == ["fallback"]
         vec = FederatedEngine(model(), clients, eval_data=(test.x, test.y))
         leg = FederatedEngine(model(), clients, eval_data=(test.x, test.y))
-        _assert_rounds_equal(vec.run_round(0), leg.run_round_legacy(0))
+        _assert_rounds_equal(vec.run_round(0), leg.run_round(0, engine="oracle"))
 
     def test_dropout_model_is_vectorized(self, task):
         """Dropout stacks batch since PR 5 (exact per-client mask streams)."""
@@ -134,10 +133,58 @@ class TestVectorizedEquivalence:
         assert vectorized_supported(model, clients)
         vec = FederatedEngine(model, clients, eval_data=(test.x, test.y))
         leg = FederatedEngine(make_mlp(12, 4, hidden=(16,), dropout=0.2, seed=0), clients, eval_data=(test.x, test.y))
-        _assert_rounds_equal(vec.run_round(0), leg.run_round_legacy(0))
+        _assert_rounds_equal(vec.run_round(0), leg.run_round(0, engine="oracle"))
         np.testing.assert_allclose(
             vec.global_model.get_flat_weights(), leg.global_model.get_flat_weights(), atol=1e-9
         )
+
+    def test_oracle_is_independent_and_fallback_is_attributable(self, task, monkeypatch):
+        """engine="oracle" shares the round transaction but no kernel with
+        engine="batched" — the guard against every differential suite
+        going vacuous (pointing the oracle's collect at partition_cohorts
+        fails the train_clients_batched == 0 line)."""
+        import repro.federated.engine as engine_mod
+        from repro.federated import FedAvgAggregator, TopKSparsifier
+
+        calls = {}
+
+        def count(owner, name):
+            real = getattr(owner, name)
+            calls[name] = 0
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        count(engine_mod, "train_clients_batched")
+        count(TopKSparsifier, "roundtrip_batch")
+        count(FedAvgAggregator, "aggregate_stack")
+        count(FederatedClient, "train_round")
+
+        train, test = task
+        for engine in ("oracle", "batched"):
+            clients = _clients(train)
+            clients[0].optimizer_name = "adam"
+            clients[1].optimizer_name, clients[1].batch_size = "momentum", 16
+            clients.append(FederatedClient(ClientData("empty", np.zeros((0, 12)), np.zeros(0, dtype=int)), seed=99))
+            fed = FederatedEngine(
+                make_mlp(12, 4, hidden=(24, 12), seed=0), clients,
+                aggregator=FedAvgAggregator(), compressor=TopKSparsifier(0.1), eval_data=(test.x, test.y),
+            )
+            cohorts = partition_cohorts(fed.global_model, clients)
+            n_batched = sum(c.batched for c in cohorts)
+            assert n_batched == 3 and {c.kind for c in cohorts} == {"batched", "idle"}
+            calls.update(dict.fromkeys(calls, 0))
+            result = fed.run_round(0, engine=engine)
+            assert len(result.participants) == len(clients)
+            if engine == "oracle":
+                assert calls == {"train_clients_batched": 0, "roundtrip_batch": 0, "aggregate_stack": 0,
+                                 "train_round": len(clients)}
+            else:
+                assert calls == {"train_clients_batched": n_batched, "roundtrip_batch": 1, "aggregate_stack": 1,
+                                 "train_round": 0}
 
     def test_mixed_optimizers_split_into_batched_cohorts(self, task):
         train, _ = task
@@ -153,7 +200,7 @@ class TestVectorizedEquivalence:
 
     def test_server_facade_delegates_to_engine(self, task):
         train, test = task
-        server = FederatedServer(make_mlp(12, 4, hidden=(24, 12), seed=0), _clients(train), eval_data=(test.x, test.y))
+        server = FederatedEngine(make_mlp(12, 4, hidden=(24, 12), seed=0), _clients(train), eval_data=(test.x, test.y))
         history = server.run(2)
         assert len(server.history) == 2 and history[-1] is server.history[-1]
         assert server.total_communication()["rounds"] == 2.0

@@ -13,7 +13,7 @@ from repro.federated import (
     FedAdamAggregator,
     FedAvgAggregator,
     FederatedClient,
-    FederatedServer,
+    FederatedEngine,
     NoCompression,
     QuantizedCompressor,
     RandomScheduler,
@@ -24,6 +24,7 @@ from repro.federated import (
     TrimmedMeanAggregator,
     centralized_baseline,
     get_compressor,
+    personalize_all,
 )
 from repro.nn import make_mlp
 
@@ -140,7 +141,7 @@ class TestClientsAndServer:
     def test_federated_training_approaches_centralized(self, fl_setup):
         train, test, clients = fl_setup
         global_model = make_mlp(10, 4, hidden=(32, 16), seed=0)
-        server = FederatedServer(global_model, clients, eval_data=(test.x, test.y), scheduler=RandomScheduler(0.6, seed=0))
+        server = FederatedEngine(global_model, clients, eval_data=(test.x, test.y), scheduler=RandomScheduler(0.6, seed=0))
         history = server.run(8)
         fed_acc = history[-1].global_accuracy
         central = centralized_baseline(make_mlp(10, 4, hidden=(32, 16), seed=0), clients, (test.x, test.y), epochs=6)
@@ -150,8 +151,8 @@ class TestClientsAndServer:
 
     def test_compression_reduces_uplink(self, fl_setup):
         train, test, clients = fl_setup
-        dense = FederatedServer(make_mlp(10, 4, hidden=(16,), seed=0), clients, eval_data=(test.x, test.y))
-        sparse = FederatedServer(
+        dense = FederatedEngine(make_mlp(10, 4, hidden=(16,), seed=0), clients, eval_data=(test.x, test.y))
+        sparse = FederatedEngine(
             make_mlp(10, 4, hidden=(16,), seed=0), clients, eval_data=(test.x, test.y), compressor=TopKSparsifier(0.05)
         )
         dense.run(2)
@@ -163,9 +164,9 @@ class TestClientsAndServer:
         train, test = ds.split(0.3, seed=4)
         parts = partition_dirichlet(train, 6, alpha=0.1, seed=4)
         clients = [FederatedClient(cd, local_epochs=1, lr=0.05, seed=i) for i, cd in enumerate(parts)]
-        server = FederatedServer(make_mlp(10, 5, hidden=(16,), seed=0), clients, eval_data=(test.x, test.y))
+        server = FederatedEngine(make_mlp(10, 5, hidden=(16,), seed=0), clients, eval_data=(test.x, test.y))
         server.run(3)
-        results = server.personalize_all(epochs=3)
+        results = personalize_all(server.global_model, clients, epochs=3)
         gains = [r.get("personal_accuracy", 0.0) - r["global_accuracy"] for r in results.values()]
         assert np.mean(gains) > -0.02  # personalization should not hurt on average
         assert max(gains) >= 0.0
@@ -183,7 +184,7 @@ class TestClientsAndServer:
 
     def test_empty_round_when_no_eligible_clients(self, fl_setup):
         train, test, clients = fl_setup
-        server = FederatedServer(
+        server = FederatedEngine(
             make_mlp(10, 4, hidden=(8,), seed=0),
             clients,
             scheduler=EligibilityScheduler(),

@@ -116,7 +116,7 @@ class TestDetectorEquivalence:
     def test_batched_detector_equals_oracle_detector(self, detector_cls, rng):
         ref = rng.normal(size=(150, 8))
         batched = detector_cls(ref)
-        oracle = detector_cls(ref, batched=False)
+        oracle = detector_cls(ref, engine="oracle")
         for i in range(6):
             live = rng.normal(loc=0.4 * i, scale=1.0 + 0.2 * i, size=(32, 8))
             rb, ro = batched.check(live), oracle.check(live)
@@ -128,7 +128,7 @@ class TestDetectorEquivalence:
     def test_mismatched_width_ravels_like_oracle(self, detector_cls, rng):
         ref = rng.normal(size=(60, 5))
         batched = detector_cls(ref)
-        oracle = detector_cls(ref, batched=False)
+        oracle = detector_cls(ref, engine="oracle")
         live = rng.normal(size=(24, 3))  # width mismatch: both sides ravel
         assert batched.check(live).statistic == oracle.check(live).statistic
 
@@ -136,7 +136,7 @@ class TestDetectorEquivalence:
     def test_one_dimensional_reference(self, detector_cls, rng):
         ref = rng.normal(size=120)
         batched = detector_cls(ref)
-        oracle = detector_cls(ref, batched=False)
+        oracle = detector_cls(ref, engine="oracle")
         live = rng.normal(loc=0.8, size=40)
         assert batched.check(live).statistic == oracle.check(live).statistic
 
@@ -144,7 +144,7 @@ class TestDetectorEquivalence:
     def test_three_dimensional_window_flattens(self, detector_cls, rng):
         ref = rng.normal(size=(60, 12))
         batched = detector_cls(ref)
-        oracle = detector_cls(ref, batched=False)
+        oracle = detector_cls(ref, engine="oracle")
         live = rng.normal(size=(16, 3, 4))  # image window, flattens to 12 cols
         assert batched.check(live).statistic == oracle.check(live).statistic
 

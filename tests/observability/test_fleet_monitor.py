@@ -113,10 +113,10 @@ class TestFleetSweepEquivalence:
         assert_monitor_states_identical(fleet_side, solo_side)
 
     def test_oracle_mode_monitors_still_sweep_correctly(self, rng):
-        """batched=False monitors fall back per-device inside the sweep."""
+        """engine="oracle" monitors fall back per-device inside the sweep."""
         ref = rng.normal(size=(60, 5))
-        fleet_side = make_monitors(ref, None, n_devices=3, detectors=("ks",), batched=False)
-        solo_side = make_monitors(ref, None, n_devices=3, detectors=("ks",), batched=False)
+        fleet_side = make_monitors(ref, None, n_devices=3, detectors=("ks",), engine="oracle")
+        solo_side = make_monitors(ref, None, n_devices=3, detectors=("ks",), engine="oracle")
         fm = FleetMonitor(fleet_side)
         windows = {d: rng.normal(loc=1.0, size=(15, 5)) for d in fleet_side}
         fm.observe_fleet(windows)

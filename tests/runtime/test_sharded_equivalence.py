@@ -76,9 +76,9 @@ def test_shard_row_groups_cover_and_balance():
 
 
 def test_dispatch_sharded_is_per_surface_opt_in():
-    assert resolve_engine("sharded", None, extra=("sharded",)) == "sharded"
+    assert resolve_engine("sharded", extra=("sharded",)) == "sharded"
     with pytest.raises(ValueError):
-        resolve_engine("sharded", None)  # surfaces without opt-in reject it
+        resolve_engine("sharded")  # surfaces without opt-in reject it
 
 
 # ---------------------------------------------------------------------------
