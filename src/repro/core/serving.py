@@ -499,6 +499,7 @@ class ServingEngine:
                     self._serve_fleet_window(model_name, window, report, bits=32)
                 else:
                     for device_id, x in window.items():
+                        x = np.asarray(x)
                         if x.shape[0] == 0:
                             continue
                         report.add(self.serve_batch(device_id, model_name, x))

@@ -21,8 +21,9 @@ Fleet-scale surfaces that can distribute work over a
     Currently offered by :meth:`~repro.core.serving.ServingEngine.serve_fleet`
     and :meth:`~repro.federated.engine.FederatedEngine.run_round`, both of
     which take a ``workers=`` count and fall back to the single-process
-    batched path when a pool is unavailable or the shards would be
-    degenerate (one worker, one shard, an unreplayable compiled plan).
+    batched path when a pool is unavailable, the shards would be
+    degenerate (one worker, one shard, an unreplayable compiled plan) or,
+    for rounds, a checkpoint store is attached.
 
 ``"sharded"`` is *opt-in per surface*: a call site declares support by
 passing ``extra=(ENGINE_SHARDED,)`` to :func:`resolve_engine`; surfaces

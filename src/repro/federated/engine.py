@@ -36,9 +36,12 @@ base-class per-row compressor loop and ``aggregator.aggregate(updates)``.
 It runs no batched kernel, so the equivalence suites and the order-of-
 magnitude guardrail of ``bench_e6`` compare independent computations; its
 one pinned quirk is under *Known divergence* on ``run_round``.
-``engine="sharded"`` distributes the batched cohorts across a process pool
-(:mod:`repro.runtime.sharded`) and merges the delta stack at a barrier,
-byte-identical to the in-process batched path.
+``engine="sharded"`` is batched with one kernel swapped: the same collect
+loop places rows that
+:meth:`~repro.runtime.sharded.ShardedFleetRunner.train_cohorts` trained —
+each batched cohort whole in one pool worker — byte-identical to sweeping
+them in-process (which it does when a checkpoint store is attached).  Every
+outcome, aborts included, gets its :class:`RoundResult` from one builder.
 
 **Extending the batched trainer** (the federated twin of the fused-kernel
 recipe in :mod:`repro.exchange.compiled`):
@@ -803,6 +806,14 @@ def train_clients_batched(
 # ---------------------------------------------------------------------------
 
 
+# The plan facts a round reports (the ``RoundResult`` fields of these names)
+# and persists (``RoundCheckpoint.counts`` keys); a new one is listed here once.
+_PLAN_COUNTERS = (
+    "n_dropouts", "n_stragglers", "n_crashes", "n_delivery_failures",
+    "n_retransmits", "n_duplicates", "quorum_required",
+)
+
+
 @dataclass
 class _RoundPlan:
     """Everything a round decides *before* any local training happens.
@@ -847,6 +858,9 @@ class _RoundPlan:
     @property
     def n_delivered(self) -> int:
         return len(self.contributors) if self.delivered_rows is None else len(self.delivered_rows)
+
+    def counters(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in _PLAN_COUNTERS}
 
 
 class FederatedEngine:
@@ -1166,15 +1180,25 @@ class FederatedEngine:
                 )
         return plan
 
-    def _finish_round(self, round_index: int, result: RoundResult) -> RoundResult:
-        """Commit a round's outcome: persist the commit record, drop the
-        round's resume pointers and append to ``history``.
+    def _finish_round(
+        self, round_index: int, plan: Optional[_RoundPlan] = None, participants: Sequence[str] = (),
+        train_loss: float = 0.0, uplink: int = 0, downlink: int = 0, **outcome,
+    ) -> RoundResult:
+        """Build a round's result — ``n_selected`` and the counters from
+        ``plan``, other fields from ``outcome`` — and commit it: persist the
+        commit record (which drops the round's resume pointers) and append
+        to ``history``.
 
         The commit record (post-round weights + result dict + scheduler
         RNG stream) is the *between-rounds* crash anchor: a fresh process
         restores the latest commit, replays nothing before it and resumes
         any in-flight checkpoint after it — see
         :class:`repro.faults.durable.DurableCheckpointStore`."""
+        if plan is not None:
+            outcome.update(plan.counters(), n_selected=len(plan.selected))
+        result = RoundResult(
+            round_index, list(participants), train_loss, self._evaluate(), uplink, downlink, **outcome
+        )
         if self.checkpoints is not None:
             self.checkpoints.record_commit(
                 round_index,
@@ -1182,48 +1206,18 @@ class FederatedEngine:
                 result.as_dict(),
                 self._scheduler_rng_state(),
             )
-            self.checkpoints.clear_round(round_index)
         self.history.append(result)
         return result
 
-    def _abort_result(self, round_index: int, plan: _RoundPlan) -> RoundResult:
-        """A deterministic abort: the coordinator refuses to start a round
-        it already knows cannot commit, so nothing is broadcast, trained,
-        drained or merged — fleet planes, ledgers and RNG streams stay
-        byte-untouched (the chaos suite asserts this against a no-fault
-        world)."""
-        result = RoundResult(
-            round_index, [], 0.0, self._evaluate(), 0, 0,
-            n_selected=len(plan.selected),
-            n_dropouts=plan.n_dropouts,
-            n_stragglers=plan.n_stragglers,
-            n_crashes=plan.n_crashes,
-            n_delivery_failures=plan.n_delivery_failures,
-            n_retransmits=plan.n_retransmits,
-            n_duplicates=plan.n_duplicates,
-            quorum_required=plan.quorum_required,
-            quorum_shortfall=plan.quorum_required - plan.quorum_counted,
-            aborted=True,
-            abort_reason=plan.abort_reason,
-        )
-        return self._finish_round(round_index, result)
-
     def _plan_from_checkpoint(self, ckpt: RoundCheckpoint) -> _RoundPlan:
-        counts = ckpt.counts
         return _RoundPlan(
             selected=list(ckpt.selected),
             contributors=list(ckpt.contributors),
             stragglers=list(ckpt.stragglers),
-            n_dropouts=int(counts.get("n_dropouts", 0)),
-            n_stragglers=int(counts.get("n_stragglers", 0)),
-            n_crashes=int(counts.get("n_crashes", 0)),
             delivered_rows=None if ckpt.delivered_rows is None else list(ckpt.delivered_rows),
             tx_counts=None if ckpt.tx_counts is None else list(ckpt.tx_counts),
-            n_retransmits=int(counts.get("n_retransmits", 0)),
-            n_duplicates=int(counts.get("n_duplicates", 0)),
-            n_delivery_failures=int(counts.get("n_delivery_failures", 0)),
-            quorum_required=int(counts.get("quorum_required", 0)),
-            trivial=bool(counts.get("trivial", 0)),
+            trivial=bool(ckpt.counts.get("trivial", 0)),
+            **{name: int(ckpt.counts.get(name, 0)) for name in _PLAN_COUNTERS},
         )
 
     def _checkpoint_for(self, round_index: int, plan: _RoundPlan) -> RoundCheckpoint:
@@ -1233,16 +1227,7 @@ class FederatedEngine:
             selected=tuple(plan.selected),
             contributors=tuple(plan.contributors),
             stragglers=tuple(plan.stragglers),
-            counts={
-                "n_dropouts": plan.n_dropouts,
-                "n_stragglers": plan.n_stragglers,
-                "n_crashes": plan.n_crashes,
-                "n_retransmits": plan.n_retransmits,
-                "n_duplicates": plan.n_duplicates,
-                "n_delivery_failures": plan.n_delivery_failures,
-                "quorum_required": plan.quorum_required,
-                "trivial": int(plan.trivial),
-            },
+            counts={**plan.counters(), "trivial": int(plan.trivial)},
             delivered_rows=None if plan.delivered_rows is None else tuple(plan.delivered_rows),
             tx_counts=None if plan.tx_counts is None else tuple(plan.tx_counts),
             scheduler_state=self._scheduler_rng_state(),
@@ -1255,15 +1240,21 @@ class FederatedEngine:
         round_index: Optional[int] = None,
         checkpoint: Optional[RoundCheckpoint] = None,
         per_client: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Local training for the contributors: one vectorized sweep per
-        homogeneous cohort, per-client fallback for the rest.
+        runner=None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Local training for the contributors, on every engine: one
+        vectorized sweep per homogeneous cohort, per-client fallback for
+        the rest.  Returns ``(deltas, losses, accs, shard_recoveries)``.
 
         ``per_client`` is the oracle's collect kernel: every contributor
         is its own single-client ``"fallback"`` cohort at ``position`` =
         its row — never ``"idle"``, so a zero-sample contributor is still
         ``train_round``-ed — which makes checkpoints, restores and
         ``interrupt_after`` count *clients* there, through the same code.
+        ``runner`` is the sharded one: its ``train_cohorts`` runs all the
+        batched sweeps in one dispatch up front and the loop places those
+        rows as it would its own; fallback cohorts still train here, in the
+        parent, so their cross-round optimizer state persists.
 
         With a ``checkpoint``, already-recorded cohorts are restored
         instead of retrained (their sweeps are pure functions of the
@@ -1284,6 +1275,13 @@ class FederatedEngine:
             cohorts = [Cohort("fallback", ("client",), (row,)) for row in range(len(clients))]
         else:
             cohorts = partition_cohorts(self.global_model, clients)
+        sweeps, shard_recoveries = {}, 0  # cohort position -> its sweep, when the runner trained it
+        batched = [position for position, cohort in enumerate(cohorts) if cohort.batched]
+        if runner is not None and batched:  # an all-fallback round dispatches nothing
+            trained, shard_recoveries = runner.train_cohorts(
+                self.global_model, [[clients[i] for i in cohorts[p].indices] for p in batched]
+            )
+            sweeps = dict(zip(batched, trained))
         for position, cohort in enumerate(cohorts):
             if cohort.kind == "idle":
                 continue  # zero-sample clients keep their zero rows
@@ -1302,11 +1300,9 @@ class FederatedEngine:
                     raise RoundInterrupted(round_index, self.checkpoints.put(checkpoint))
             idx = list(cohort.indices)
             if cohort.batched:
-                sub = [clients[i] for i in idx]
-                d, l, a = train_clients_batched(self.global_model, sub)
-                deltas[idx] = d
-                losses[idx] = l
-                accs[idx] = a
+                deltas[idx], losses[idx], accs[idx] = sweeps.get(position) or train_clients_batched(
+                    self.global_model, [clients[i] for i in idx]
+                )
             else:
                 for i in idx:
                     update = clients[i].train_round(self.global_model)
@@ -1325,7 +1321,7 @@ class FederatedEngine:
             if after is not None and completed >= after:
                 inj.fire_interrupt(round_index)
                 raise RoundInterrupted(round_index, self.checkpoints.put(checkpoint))
-        return deltas, losses, accs
+        return deltas, losses, accs, shard_recoveries
 
     def run_round(
         self,
@@ -1339,28 +1335,31 @@ class FederatedEngine:
         One transaction serves every engine: resume-or-plan → abort /
         empty short-circuits → checkpoint → *collect* → byzantine
         corruption → *compress* → filter delivered → *aggregate* → energy
-        drain → commit.  ``engine=`` (:mod:`repro.dispatch`) picks only the
-        three kernels: ``"batched"`` (default) runs one vectorized sweep
-        per cohort, the compressor's own ``roundtrip_batch`` and
-        ``aggregate_stack`` for plain FedAvg; ``"oracle"`` runs one
-        ``train_round`` per contributor, the base-class per-row compressor
-        loop and ``aggregator.aggregate(updates)`` — no batched kernel,
-        hence the differential reference; ``"sharded"`` spreads the batched
-        cohorts over ``workers`` processes (a
+        drain → commit (:meth:`_finish_round`, the one result builder).
+        ``engine=`` (:mod:`repro.dispatch`) picks only the three kernels:
+        ``"batched"`` (default) runs one vectorized sweep per cohort, the
+        compressor's own ``roundtrip_batch`` and ``aggregate_stack`` for
+        plain FedAvg; ``"oracle"`` runs one ``train_round`` per contributor,
+        the base-class per-row compressor loop and
+        ``aggregator.aggregate(updates)`` — no batched kernel, hence the
+        differential reference; ``"sharded"`` is batched with the third
+        collect kernel (per-client cohorts, in-process sweeps, pooled
+        ``train_cohorts`` — one loop, :meth:`_collect_deltas`, places all
+        three): the batched cohorts train whole over ``workers`` processes (a
         :class:`~repro.runtime.sharded.ShardedFleetRunner`; assign
         :attr:`shard_runner` to customize backend/timeouts and to reuse its
         worker processes across rounds — you then own its ``close()``; a
-        runner built here is closed before returning) and merges them at a
-        barrier, byte-identical to batched.
+        runner built here is closed before returning), byte-identical to
+        batched.
 
         Fault semantics (``fault_injector`` / ``quorum`` /
         ``checkpoints``, see :mod:`repro.faults`): crashes, delivery
         verdicts and the quorum check resolve *before* training
         (:meth:`_plan_round`); a quorum shortfall aborts with zero side
-        effects.  With a checkpoint store the sweeps run in-process even
-        under ``engine="sharded"`` (the sharded merge is all-or-nothing
-        and byte-identical, so checkpointing mid-dispatch would add
-        nothing) and a fault-plan coordinator interrupt raises
+        effects.  A checkpoint store means in-process sweeps — under
+        ``engine="sharded"`` no runner is borrowed or built (its dispatch
+        is all-or-nothing and byte-identical, so checkpointing inside it
+        would add nothing) — and a fault-plan coordinator interrupt raises
         :class:`~repro.faults.RoundInterrupted`; re-issuing the same
         ``run_round`` resumes from the checkpoint byte-identically, in a
         fresh process too.  Checkpoints are per *cohort* on batched /
@@ -1374,11 +1373,6 @@ class FederatedEngine:
         """
         engine = resolve_engine(engine, owner="FederatedEngine.run_round", extra=(ENGINE_SHARDED,))
         oracle = engine == ENGINE_ORACLE
-        runner = None
-        if engine == ENGINE_SHARDED:
-            from repro.runtime.sharded import ShardedFleetRunner
-
-            runner = self.shard_runner or ShardedFleetRunner(workers=workers)
 
         resume = None
         if self.checkpoints is not None:
@@ -1397,41 +1391,43 @@ class FederatedEngine:
             context = device_context if device_context is not None else self.fleet_context()
             selected = self.scheduler.select(list(self.clients), round_index, context=context)
             if not selected:
-                result = RoundResult(round_index, [], 0.0, self._evaluate(), 0, 0)
-                return self._finish_round(round_index, result)
+                return self._finish_round(round_index)
             plan = self._plan_round(round_index, selected)
 
         if plan.aborted:
-            return self._abort_result(round_index, plan)
+            # A deterministic abort: the coordinator refuses to start a
+            # round it already knows cannot commit, so nothing is broadcast,
+            # trained, drained or merged — fleet planes, ledgers and RNG
+            # streams stay byte-untouched (the chaos suite asserts this
+            # against a no-fault world).
+            shortfall = plan.quorum_required - plan.quorum_counted
+            return self._finish_round(
+                round_index, plan, quorum_shortfall=shortfall, aborted=True, abort_reason=plan.abort_reason
+            )
         contributors, stragglers = plan.contributors, plan.stragglers
         downlink = self._model_bytes * len(selected)
         if not contributors:
             # Stragglers still trained (and pay for it) even though every
             # update missed the deadline and the round aggregates nothing.
             self._drain_training_energy(stragglers)
-            result = RoundResult(
-                round_index, [], 0.0, self._evaluate(), 0, int(downlink),
-                n_selected=len(selected), n_dropouts=plan.n_dropouts,
-                n_stragglers=plan.n_stragglers, n_crashes=plan.n_crashes,
-                quorum_required=plan.quorum_required,
-            )
-            return self._finish_round(round_index, result)
+            return self._finish_round(round_index, plan, downlink=downlink)
 
         checkpoint = resume
         if self.checkpoints is not None and checkpoint is None:
             checkpoint = self._checkpoint_for(round_index, plan)
             self.checkpoints.put(checkpoint)
-        if runner is not None and checkpoint is None:
-            try:
-                deltas, losses, accs, shard_recoveries = runner.collect_deltas(self, contributors)
-            finally:
-                if runner is not self.shard_runner:
-                    runner.close()  # a runner built for this call owns processes
-        else:
-            deltas, losses, accs = self._collect_deltas(
-                contributors, round_index=round_index, checkpoint=checkpoint, per_client=oracle
+        runner = None
+        if engine == ENGINE_SHARDED and checkpoint is None:  # a store means in-process sweeps
+            from repro.runtime.sharded import ShardedFleetRunner
+
+            runner = self.shard_runner or ShardedFleetRunner(workers=workers)
+        try:
+            deltas, losses, accs, shard_recoveries = self._collect_deltas(
+                contributors, round_index, checkpoint, per_client=oracle, runner=runner
             )
-            shard_recoveries = 0
+        finally:
+            if runner is not None and runner is not self.shard_runner:
+                runner.close()  # a runner built for this call owns processes
         n_byzantine = self._corrupt_deltas(contributors, deltas)
         if oracle:
             decompressed, nbytes = UpdateCompressor.roundtrip_batch(self.compressor, deltas)
@@ -1481,26 +1477,11 @@ class FederatedEngine:
         if not (oracle and plan.trivial):  # known divergence, see the docstring
             self._drain_training_energy(list(contributors) + stragglers)
 
-        result = RoundResult(
-            round_index=round_index,
-            participants=participants,
-            train_loss=train_loss,
-            global_accuracy=self._evaluate(),
-            uplink_bytes=uplink,
-            downlink_bytes=int(downlink),
-            mean_local_accuracy=mean_local_accuracy,
-            n_selected=len(selected),
-            n_dropouts=plan.n_dropouts,
-            n_stragglers=plan.n_stragglers,
-            n_byzantine=n_byzantine,
+        return self._finish_round(
+            round_index, plan, participants, train_loss, uplink, downlink,
+            mean_local_accuracy=mean_local_accuracy, n_byzantine=n_byzantine,
             shard_recoveries=shard_recoveries,
-            n_crashes=plan.n_crashes,
-            n_delivery_failures=plan.n_delivery_failures,
-            n_retransmits=plan.n_retransmits,
-            n_duplicates=plan.n_duplicates,
-            quorum_required=plan.quorum_required,
         )
-        return self._finish_round(round_index, result)
 
     def run(
         self,

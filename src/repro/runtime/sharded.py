@@ -28,16 +28,17 @@ per-row closed form, compiled-plan ``run_many`` is per-window exact, and
 * battery/counter planes merge back via
   :meth:`~repro.devices.FleetState.merge_rows`.
 
-*Federated* (``run_round``): work is distributed at **cohort granularity** —
-each homogeneous cohort's :func:`~repro.federated.engine.train_clients_batched`
-sweep runs whole inside one worker with identical inputs, because splitting
-a cohort would change the stacked tensor geometry (``n_max`` padding, GEMM
-widths) and risk last-ulp drift.  Fallback cohorts (stateful optimizer
-instances) train in the parent so their cross-round client state persists;
-idle cohorts keep their zero rows.  Delta rows are placed back by cohort
-indices, and the aggregation that follows (NumPy's pairwise-stable
-summation inside the aggregator) runs in the parent on the merged stack —
-bitwise the same stack the batched path builds.
+*Federated* (``run_round``): the runner is a *training kernel* of the
+engine's one collect loop, not a second loop.
+:meth:`ShardedFleetRunner.train_cohorts` is handed the round's batched
+cohorts and runs each one's
+:func:`~repro.federated.engine.train_clients_batched` sweep whole inside one
+worker with identical inputs — splitting a cohort would change the stacked
+tensor geometry (``n_max`` padding, GEMM widths) and risk last-ulp drift —
+and returns the kernel's ``(deltas, losses, accs)`` per cohort.  Everything
+else — partitioning, idle and fallback cohorts (which train in the parent,
+so cross-round optimizer state persists), row placement, checkpoints,
+aggregation — is the engine's, shared with ``engine="batched"``.
 
 Backends (``backend=`` kwarg) and what ships per shard
 ------------------------------------------------------
@@ -73,7 +74,7 @@ Worker lifetime
 A runner *owns* its worker processes.  The first pooled dispatch starts
 them (daemonic, ``fork`` context where available, else the platform
 default), each on its own :func:`multiprocessing.Pipe`; every later
-``serve_window`` / ``collect_deltas`` of that runner reuses them.  Workers
+``serve_window`` / ``train_cohorts`` of that runner reuses them.  Workers
 are stateless between tasks — ``(task, payload)`` in, result out — so no
 window can see another's world.  :meth:`ShardedFleetRunner.close` (or
 ``with``, or dropping the last reference) kills and reaps them; the runner
@@ -230,19 +231,12 @@ def _serve_shard_task(payload: Dict[str, object]) -> Dict[str, object]:
     }
 
 
-def _train_shard_task(payload: Dict[str, object]) -> Dict[str, object]:
+def _train_shard_task(payload: Dict[str, object]):
     """One federated shard: a whole batched cohort trained in lock-step."""
     _inject_faults(payload)
     from repro.federated.engine import train_clients_batched
 
-    deltas, losses, accs = train_clients_batched(payload["model"], payload["clients"])
-    return {
-        "shard_index": payload["shard_index"],
-        "positions": payload["positions"],
-        "deltas": deltas,
-        "losses": losses,
-        "accs": accs,
-    }
+    return train_clients_batched(payload["model"], payload["clients"])
 
 
 # ---------------------------------------------------------------------------
@@ -622,60 +616,19 @@ class ShardedFleetRunner:
         report.shard_recoveries += len(recovered)
 
     # -- federated -------------------------------------------------------
-    def collect_deltas(
-        self, fed_engine, contributors: Sequence[str]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Sharded twin of ``FederatedEngine._collect_deltas``.
-
-        Batched cohorts are dispatched whole (one worker each, so the
-        stacked-tensor geometry — and therefore every float — matches the
-        single-process sweep exactly); fallback cohorts train in the parent
-        because their clients may carry cross-round optimizer state; idle
-        cohorts keep their zero rows.  Returns
-        ``(deltas, losses, accs, shard_recoveries)`` with rows placed by
-        cohort indices, bitwise equal to the batched path.
+    def train_cohorts(self, model, cohorts: Sequence[Sequence[object]]) -> Tuple[List[tuple], int]:
+        """The sharded collect kernel of ``FederatedEngine.run_round``: one
+        ``train_clients_batched`` sweep per cohort of clients, each cohort
+        whole in one worker (so the stacked-tensor geometry — and therefore
+        every float — matches the in-process sweep).  Returns the kernel's
+        ``(deltas, losses, accs)`` per cohort, in cohort order, and how many
+        shards were recovered after a worker fault.
         """
-        from repro.federated.engine import partition_cohorts
-
-        clients = [fed_engine.clients[cid] for cid in contributors]
-        n_params = fed_engine.global_model.get_flat_weights().size
-        deltas = np.zeros((len(clients), n_params))
-        losses = np.zeros(len(clients))
-        accs = np.zeros(len(clients))
-        batched_cohorts = []
-        fallback_positions: List[int] = []
-        for cohort in partition_cohorts(fed_engine.global_model, clients):
-            if cohort.kind == "idle":
-                continue
-            if cohort.batched:
-                batched_cohorts.append(list(cohort.indices))
-            else:
-                fallback_positions.extend(cohort.indices)
-
-        recovered: Tuple[int, ...] = ()
-        if batched_cohorts:
-            workers = self.resolve_workers(len(batched_cohorts))
-            pooled = self.backend != "inline" and workers >= 2
-            payloads = [
-                {
-                    "shard_index": shard_index,
-                    "parent_pid": os.getpid(),
-                    "model": fed_engine.global_model,
-                    "clients": [clients[p] for p in positions],
-                    "positions": positions,
-                }
-                for shard_index, positions in enumerate(batched_cohorts)
-            ]
-            self._attach_faults("train", payloads)
-            task_results, recovered = self._run_shards(payloads, _train_shard_task, pooled=pooled)
-            for task_result in task_results:
-                positions = task_result["positions"]
-                deltas[positions] = task_result["deltas"]
-                losses[positions] = task_result["losses"]
-                accs[positions] = task_result["accs"]
-        for position in fallback_positions:
-            update = clients[position].train_round(fed_engine.global_model)
-            deltas[position] = update.delta
-            losses[position] = update.local_loss
-            accs[position] = update.metrics.get("local_accuracy", 0.0)
-        return deltas, losses, accs, len(recovered)
+        payloads = [
+            {"shard_index": i, "parent_pid": os.getpid(), "model": model, "clients": list(clients)}
+            for i, clients in enumerate(cohorts)
+        ]
+        self._attach_faults("train", payloads)
+        pooled = self.backend != "inline" and self.resolve_workers(len(payloads)) >= 2
+        trained, recovered = self._run_shards(payloads, _train_shard_task, pooled=pooled)
+        return trained, len(recovered)

@@ -388,8 +388,12 @@ def fleet_windows(n_devices: int, n_windows: int = 3, seed: int = 1, widths=(20,
 class TestFleetSweep:
     """serve_fleet's one-sweep-per-window path vs the per-device oracle."""
 
-    def assert_fleet_equivalent(self, with_plan: bool, quota: int = 1000, battery_j: float = 1e9):
+    def assert_fleet_equivalent(
+        self, with_plan: bool, quota: int = 1000, battery_j: float = 1e9, as_lists: bool = False
+    ):
         windows = fleet_windows(6)
+        if as_lists:
+            windows = [{d: x.tolist() for d, x in w.items()} for w in windows]
         eng_b, led_b, dev_b = make_fleet_world(quota=quota, with_plan=with_plan)
         eng_l, led_l, dev_l = make_fleet_world(quota=quota, with_plan=with_plan)
         for d in dev_b + dev_l:
@@ -422,6 +426,10 @@ class TestFleetSweep:
 
     def test_sweep_equals_per_device_loop_under_battery_pressure(self):
         self.assert_fleet_equivalent(with_plan=True, battery_j=EXACT_COST.energy_j * 40)
+
+    def test_sweep_equals_per_device_loop_on_list_valued_windows(self):
+        # {device_id: list of rows}: every engine coerces, none reads .shape raw.
+        self.assert_fleet_equivalent(with_plan=True, as_lists=True)
 
     def test_one_compiled_sweep_per_window(self):
         """The instrumentation check: one run_many (and one underlying plan

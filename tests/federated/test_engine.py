@@ -20,6 +20,8 @@ from repro.federated import (
     vectorized_supported,
 )
 from repro.nn import make_mlp
+from repro.nn.optimizers import get_optimizer
+from repro.runtime.sharded import ShardedFleetRunner
 
 
 @pytest.fixture(scope="module")
@@ -29,11 +31,40 @@ def task():
     return train, test
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """``(count, calls)``: ``count(owner, name)`` wraps ``owner.name`` so
+    that ``calls[name]`` counts its invocations."""
+    calls = {}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        calls[name] = 0
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    return count, calls
+
+
 def _clients(train, n=8, **kwargs):
     parts = partition_dirichlet(train, n, alpha=0.5, seed=5)
     defaults = dict(local_epochs=2, lr=0.05, batch_size=32)
     defaults.update(kwargs)
     return [FederatedClient(p, seed=i, **defaults) for i, p in enumerate(parts)]
+
+
+def _three_cohort_clients(train):
+    """Three batched cohorts (sgd, adam, momentum at batch 16) plus a
+    zero-sample client, which lands in the idle cohort."""
+    clients = _clients(train)
+    clients[0].optimizer_name = "adam"
+    clients[1].optimizer_name, clients[1].batch_size = "momentum", 16
+    clients.append(FederatedClient(ClientData("empty", np.zeros((0, 12)), np.zeros(0, dtype=int)), seed=99))
+    return clients
 
 
 def _pair(train, test, client_kwargs=None, **engine_kwargs):
@@ -138,7 +169,7 @@ class TestVectorizedEquivalence:
             vec.global_model.get_flat_weights(), leg.global_model.get_flat_weights(), atol=1e-9
         )
 
-    def test_oracle_is_independent_and_fallback_is_attributable(self, task, monkeypatch):
+    def test_oracle_is_independent_and_fallback_is_attributable(self, task, counted):
         """engine="oracle" shares the round transaction but no kernel with
         engine="batched" — the guard against every differential suite
         going vacuous (pointing the oracle's collect at partition_cohorts
@@ -146,29 +177,15 @@ class TestVectorizedEquivalence:
         import repro.federated.engine as engine_mod
         from repro.federated import FedAvgAggregator, TopKSparsifier
 
-        calls = {}
-
-        def count(owner, name):
-            real = getattr(owner, name)
-            calls[name] = 0
-
-            def counting(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counting)
-
+        count, calls = counted
         count(engine_mod, "train_clients_batched")
         count(TopKSparsifier, "roundtrip_batch")
         count(FedAvgAggregator, "aggregate_stack")
         count(FederatedClient, "train_round")
 
         train, test = task
-        for engine in ("oracle", "batched"):
-            clients = _clients(train)
-            clients[0].optimizer_name = "adam"
-            clients[1].optimizer_name, clients[1].batch_size = "momentum", 16
-            clients.append(FederatedClient(ClientData("empty", np.zeros((0, 12)), np.zeros(0, dtype=int)), seed=99))
+        for engine in ("oracle", "batched", "sharded"):
+            clients = _three_cohort_clients(train)
             fed = FederatedEngine(
                 make_mlp(12, 4, hidden=(24, 12), seed=0), clients,
                 aggregator=FedAvgAggregator(), compressor=TopKSparsifier(0.1), eval_data=(test.x, test.y),
@@ -177,7 +194,8 @@ class TestVectorizedEquivalence:
             n_batched = sum(c.batched for c in cohorts)
             assert n_batched == 3 and {c.kind for c in cohorts} == {"batched", "idle"}
             calls.update(dict.fromkeys(calls, 0))
-            result = fed.run_round(0, engine=engine)
+            with ShardedFleetRunner(backend="inline") as fed.shard_runner:
+                result = fed.run_round(0, engine=engine)
             assert len(result.participants) == len(clients)
             if engine == "oracle":
                 assert calls == {"train_clients_batched": 0, "roundtrip_batch": 0, "aggregate_stack": 0,
@@ -185,6 +203,33 @@ class TestVectorizedEquivalence:
             else:
                 assert calls == {"train_clients_batched": n_batched, "roundtrip_batch": 1, "aggregate_stack": 1,
                                  "train_round": 0}
+
+    def test_every_engine_runs_the_one_collect_loop(self, task, counted):
+        """One ``_collect_deltas`` per round on every engine — the guard
+        against a sharded twin of the loop coming back — and batched and
+        sharded run the same kernels: one sweep per batched cohort, one
+        ``train_round`` for the fallback client, nothing for the idle one."""
+        import repro.federated.engine as engine_mod
+
+        count, calls = counted
+        count(FederatedEngine, "_collect_deltas")
+        count(engine_mod, "train_clients_batched")
+        count(FederatedClient, "train_round")
+
+        train, test = task
+        for engine in ("oracle", "batched", "sharded"):
+            clients = _three_cohort_clients(train)
+            clients[2].optimizer_name = get_optimizer("momentum", lr=0.05)  # stateful: fallback
+            fed = FederatedEngine(make_mlp(12, 4, hidden=(24, 12), seed=0), clients, eval_data=(test.x, test.y))
+            kinds = sorted(c.kind for c in partition_cohorts(fed.global_model, clients))
+            assert kinds == ["batched"] * 3 + ["fallback", "idle"]
+            with ShardedFleetRunner(backend="inline") as fed.shard_runner:
+                for r in range(2):
+                    calls.update(dict.fromkeys(calls, 0))
+                    fed.run_round(r, engine=engine)
+                    sweeps, per_client = (0, len(clients)) if engine == "oracle" else (3, 1)
+                    assert calls == {"_collect_deltas": 1, "train_clients_batched": sweeps,
+                                     "train_round": per_client}
 
     def test_mixed_optimizers_split_into_batched_cohorts(self, task):
         train, _ = task

@@ -1,11 +1,13 @@
-"""``python -m tests.pins --update`` re-records the round pins (run it from
-the repository root; see the package docstring for when that is legitimate)."""
+"""``python -m tests.pins --update`` re-records the round and serving pins
+(run it from the repository root; see the package docstring for when that is
+legitimate)."""
 
 import sys
 
-from . import JSON_PATH, WORLDS, update
+from . import FAMILIES, paths, update
 
 if sys.argv[1:] != ["--update"]:
     sys.exit("usage: python -m tests.pins --update")
 update()
-print(f"recorded {len(WORLDS)} worlds in {JSON_PATH}")
+for family, (worlds, _) in FAMILIES.items():
+    print(f"recorded {len(worlds)} worlds in {paths(family)[0]}")

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dispatch import resolve_engine
-from repro.runtime.sharded import ShardedFleetRunner, shard_row_groups
+from repro.runtime.sharded import FAULT_ENV, ShardedFleetRunner, shard_row_groups
 
 from _sharded_worlds import (
     federated_world as _federated_world,
@@ -240,6 +240,58 @@ def test_sharded_fallback_cohort_optimizer_state_persists():
         == base.global_model.get_flat_weights().tobytes()
     )
     assert [r.as_dict() for r in results_sharded] == [r.as_dict() for r in results_base]
+
+
+@pytest.mark.parametrize(
+    "backend, fault, n_recovered", [("inline", "", 0), ("pickle", "", 0), ("pickle", "0:raise", 1)]
+)
+def test_train_cohorts_returns_the_kernels_triples(backend, fault, n_recovered, monkeypatch):
+    """``train_cohorts`` is ``train_clients_batched`` per cohort wherever it
+    runs: the in-process sweeps' bytes, in cohort order, and a worker fault
+    is recovered and counted (the env hook fires in workers only)."""
+    from repro.federated.engine import partition_cohorts, train_clients_batched
+
+    fed = _federated_world(seed=9, n_clients=12)
+    model, clients = fed.global_model, list(fed.clients.values())
+    batched = [c for c in partition_cohorts(model, clients) if c.batched][:2]
+    cohorts = [[clients[i] for i in c.indices] for c in batched]
+    expected = [train_clients_batched(model, cohort) for cohort in cohorts]  # a sweep mutates nothing
+    monkeypatch.setenv(FAULT_ENV, fault)
+    with ShardedFleetRunner(workers=2, backend=backend) as runner:
+        trained, recovered = runner.train_cohorts(model, cohorts)
+    assert recovered == n_recovered and len(trained) == 2
+    for got, want in zip(trained, expected):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_sharded_round_with_a_checkpoint_store_builds_no_runner(monkeypatch):
+    """A store means in-process sweeps: ``run_round`` constructs no runner
+    (and forks nothing); without the store it builds one and closes it."""
+    import multiprocessing
+
+    import repro.runtime.sharded as sharded_mod
+    from repro.faults import CheckpointStore
+
+    built = []
+
+    class CountingRunner(ShardedFleetRunner):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sharded_mod, "ShardedFleetRunner", CountingRunner)
+    base = _federated_world(seed=9, n_clients=12)
+    results_base = _run_rounds(base, 2)
+    fed = _federated_world(seed=9, n_clients=12)
+    fed.checkpoints = CheckpointStore()
+    results = _run_rounds(fed, 2, engine="sharded", workers=2)
+    assert built == [] and multiprocessing.active_children() == []
+    assert [r.as_dict() for r in results] == [r.as_dict() for r in results_base]
+    fed.checkpoints = None
+    fed.run_round(2, engine="sharded", workers=2)
+    base.run_round(2)
+    assert built == [{"workers": 2}] and multiprocessing.active_children() == []
+    assert fed.global_model.get_flat_weights().tobytes() == base.global_model.get_flat_weights().tobytes()
 
 
 # ---------------------------------------------------------------------------
