@@ -113,7 +113,10 @@ class FleetServeReport:
     _DEVICE_KEYS = ("requested", "served", "denied_quota", "battery_failures", "network_failures")
 
     def _device_stats(self, device_id: str) -> Dict[str, int]:
-        return self.per_device.setdefault(device_id, {k: 0 for k in self._DEVICE_KEYS})
+        stats = self.per_device.get(device_id)
+        if stats is None:
+            stats = self.per_device[device_id] = dict.fromkeys(self._DEVICE_KEYS, 0)
+        return stats
 
     def add(self, result: ServeResult) -> None:
         self.requested += result.requested
@@ -351,8 +354,9 @@ class ServingEngine:
         fleet's columnar store — the per-row arithmetic is exactly
         :meth:`~repro.devices.Battery.draw_batch`, so admission decisions
         and resulting battery levels match the object loop bit for bit.
-        Inference costs are cached per (model, profile, bits): a window over
-        10k devices of 6 profiles computes 6 costs, not 10k.  The served
+        Inference costs are cached per (model, profile, bits) and resolved
+        once per distinct profile code after the metering loop: a window
+        over 10k devices of 6 profiles looks up 6 costs, not 10k.  The served
         slices of every monitored device then flow through one compiled-plan
         ``run_many`` sweep (the plan falls back to per-window execution
         internally when its kernels are not stacking-exact) and one
@@ -362,40 +366,43 @@ class ServingEngine:
         """
         model = self.models[model_name]
         plan = self.plans.get(model_name)
-        costs_by_profile = self._window_costs(model_name, model)
         state = self.fleet.state
-        # Parallel lists: device_id, row, window, requested, cost, granted.
+        row_of, ledgers = self.fleet.row_of, self.ledgers
+        # Parallel lists: device_id, row, window, requested, granted.
         ids: List[str] = []
         rows: List[int] = []
         xs: List[np.ndarray] = []
         ns: List[int] = []
-        costs: List[object] = []
         granteds: List[int] = []
         for device_id, x in window.items():
             x = np.asarray(x)
-            if x.shape[0] == 0:
+            n = x.shape[0]
+            if n == 0:
                 continue
-            row = self.fleet.row_of(device_id)
-            profile = state.profile_at(row)
+            rows.append(row_of(device_id))
+            ledger = ledgers.get(device_id)
+            granteds.append(ledger.record_batch(model_name, n) if ledger is not None else n)
+            ids.append(device_id)
+            xs.append(x)
+            ns.append(n)
+        if not ids:
+            return []
+        row_arr = np.asarray(rows, dtype=np.intp)
+        # One cost per distinct profile code in the window, not per device.
+        codes, inverse = np.unique(state.profile_idx[row_arr], return_inverse=True)
+        costs_by_profile = self._window_costs(model_name, model)
+        code_costs = []
+        for code in codes.tolist():
+            profile = state.profile_table[code]
             cost = costs_by_profile.get((profile, bits))
             if cost is None:
                 cost = self.cost_model.model_inference_cost(profile, model, bits=bits)
                 costs_by_profile[(profile, bits)] = cost
-            ledger = self.ledgers.get(device_id)
-            n = int(x.shape[0])
-            granted = ledger.record_batch(model_name, n) if ledger is not None else n
-            ids.append(device_id)
-            rows.append(row)
-            xs.append(x)
-            ns.append(n)
-            costs.append(cost)
-            granteds.append(granted)
-        if not ids:
-            return []
-        row_arr = np.asarray(rows, dtype=np.intp)
+            code_costs.append(cost)
+        costs = [code_costs[i] for i in inverse.tolist()]
         served_arr = state.draw_batch_rows(
             row_arr,
-            np.array([c.energy_j for c in costs], dtype=np.float64),
+            np.array([c.energy_j for c in code_costs], dtype=np.float64)[inverse],
             np.asarray(granteds, dtype=np.int64),
         )
         state.query_count[row_arr] += served_arr

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.billing import (
     QuotaGrant,
     UsageLedger,
 )
+from repro.persist import canonical_json
 
 
 @pytest.fixture()
@@ -315,3 +319,28 @@ class TestBatchMetering:
         entries = [{"index": 0, "grant_id": grant_id, "model_name": "vision", "timestamp": 1.0, "prev_mac": UsageLedger.GENESIS, "mac": mac0, "count": 5}]
         result = backend.reconcile({"device_id": "dev-1", "entries": entries, "grants": {}})
         assert not result.accepted and any("rollback" in i for i in result.issues)
+
+    def test_export_is_a_copy_of_the_ledger(self, backend_and_ledger):
+        # An export is an upload payload: editing one (as every tamper test
+        # here does) must never reach the device's own chain or quota.
+        backend, ledger = backend_and_ledger
+        ledger.record_query("vision")
+        ledger.record_batch("vision", 4)
+        ledger.record_query("vision", timestamp=0.1)
+        entries = [dataclasses.astuple(e) for e in ledger.entries]
+        grants = [dataclasses.astuple(g) for g in ledger.grants.values()]
+        head, remaining = ledger.head_mac(), ledger.remaining()
+        export = ledger.export()
+        # Recorded before export() stopped handing out the entries' own dicts.
+        assert hashlib.sha256(canonical_json(export)).hexdigest() == (
+            "0684b2cb1e871b09aaaa2e0085544d86491585f6b4b457b5440f5351e0922ebc"
+        )
+        for raw in list(export["entries"]) + list(export["grants"].values()):
+            for key in raw:
+                raw[key] = 999_999 if isinstance(raw[key], int) else "tampered"
+        assert [dataclasses.astuple(e) for e in ledger.entries] == entries
+        assert [dataclasses.astuple(g) for g in ledger.grants.values()] == grants
+        assert ledger.verify_chain()
+        assert ledger.remaining() == remaining == 44
+        assert ledger.head_mac() == head
+        assert backend.reconcile(ledger.export()).accepted
