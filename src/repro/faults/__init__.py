@@ -24,7 +24,7 @@ kind                   effect
 ``device_crash``       a selected federated client vanishes before local
                        training (no energy spent, no update)
 ``uplink loss``        a delta-delivery attempt is dropped; the client
-                       retransmits under the shared :class:`RetryPolicy`
+                       retransmits under a :class:`RetryPolicy`
 ``uplink corrupt``     a delivery attempt arrives damaged and is rejected
                        (checksum model); retransmitted like a loss
 ``duplicate``          the delivery succeeds but the uplink carries the
@@ -105,14 +105,15 @@ Environment variables (the one place they are documented)
 
 ``REPRO_SHARD_FAULT``
     Env-driven worker fault for the sharded runtime, spelled
-    ``"<shard>:<raise|hang|exit>[:any]"`` (``repro.runtime.sharded``).
+    ``"<shard>:<raise|hang|exit>[:<any|worker>]"`` (``repro.runtime.sharded``).
     The *parent* reads it at every sharded dispatch and ships it in the
     matching shard's task payload, beside the plan fault — the runner's
     worker processes are long-lived, so their own ``os.environ`` is
     whatever it was when they were forked; setting or clearing the
     variable between two windows of one runner takes effect on the next
-    window.  Without ``:any`` it fires only in worker processes.  It
-    predates the fault plane and remains supported for one-off
+    window.  Without ``:any`` it fires only in worker processes.  A
+    malformed value raises ``ValueError`` before any shard is dispatched.
+    It predates the fault plane and remains supported for one-off
     debugging; plan-driven shard faults (:meth:`FaultPlan.generate`
     ``worker_fault`` rate, shipped per-payload by the runner) are the
     replayable spelling.

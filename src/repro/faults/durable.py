@@ -10,9 +10,8 @@ state to a run directory so a *fresh process* resumes byte-identically:
     (``put`` / ``get`` / ``latest_for`` / ``clear_round``) backed by a
     journaled manifest + checkpoint slot files, plus committed-round
     records (:meth:`~DurableCheckpointStore.record_commit` /
-    :meth:`~DurableCheckpointStore.latest_commit`), fault plans, exported
-    :class:`~repro.billing.metering.UsageLedger` segments, and a
-    merge-intent WAL for the sharded runner's barrier merge.
+    :meth:`~DurableCheckpointStore.latest_commit`), fault plans and exported
+    :class:`~repro.billing.metering.UsageLedger` segments.
 
 ``DurableDecisionLog``
     An append-only, digest-verified log of lifecycle decision records
@@ -28,7 +27,7 @@ Layout under ``root``::
                                at 4 KiB-aligned offsets, reused in place
     commits/round-<n>.npz      committed-round records (weights + result)
     records/<kind>/<seq>.json  generic JSON records (plans, ledger
-                               segments, merge intents, ...)
+                               segments, decisions, ...)
 
 The index (``store._manifest``) lives in memory; the snapshot is what it
 was at some sequence number, the journal is every mutation after that.
@@ -56,8 +55,10 @@ sync is one ``os.fsync`` of a file or directory):
     commits the round, drops its resume pointers and retires the
     archive of older rounds.  ``clear_round`` after a commit finds
     nothing to do; on an uncommitted round it is one line, 1 sync.
-``put_record`` / ``commit_merge`` / ``discard_pending_merges``
-    the record file atomically (2 syncs), then one line (1 sync).
+``put_record`` (and ``put_plan``, ``DurableDecisionLog.append``) — 3 syncs
+    the record file atomically (2 syncs), then one line (1 sync).  The
+    first record into a fresh store pays 6: it also creates the journal,
+    ``records/`` and ``records/<kind>/``.
 compaction — 4 syncs, amortised over the lines it absorbs
     snapshot, then journal reset, each through ``atomic_write_bytes``.  A
     crash between them leaves lines the snapshot already covers; replay
@@ -119,16 +120,9 @@ kind is three lines, no schema migration:
    a monotonic sequence number.
 3. Read back with ``store.get_record("my-kind", name)`` (digest
    verified) or iterate ``store.record_names("my-kind")`` in write
-   order.  That is exactly how fault plans (``put_plan``), ledger
-   segments (``put_ledger_segments``) and merge intents
-   (``begin_merge``) are built; read their few-line implementations as
-   worked examples.
-
-For two-phase records (visible only after a second commit), write with
-``committed=False`` and flip it later — ``begin_merge`` /
-``commit_merge`` do this so a crash *during* a sharded barrier merge
-leaves an uncommitted intent that readers skip: the disk never holds a
-partial merge.
+   order.  That is exactly how fault plans (``put_plan``) and ledger
+   segments (``put_ledger_segments``) are built; read their few-line
+   implementations as worked examples.
 """
 
 from __future__ import annotations
@@ -405,11 +399,6 @@ class DurableCheckpointStore(CheckpointStore):
                 m["latest"] = {k: d for k, d in m["latest"].items() if d in m["checkpoints"]}
         elif op == "record":
             m["records"][record["key"]] = dict(record["entry"], seq=seq)
-        elif op == "merge-commit":
-            m["records"][record["key"]]["committed"] = True
-        elif op == "discard":
-            for key in record["keys"]:
-                del m["records"][key]
         else:
             raise CheckpointCorrupted(self._journal_path, f"unknown journal op {op!r}")
         m["seq"] = seq
@@ -615,9 +604,7 @@ class DurableCheckpointStore(CheckpointStore):
         return [self._load_commit(k) for k in keys]
 
     # -- generic records --------------------------------------------------
-    def put_record(
-        self, kind: str, name: str, payload: Mapping[str, object], committed: bool = True
-    ) -> str:
+    def put_record(self, kind: str, name: str, payload: Mapping[str, object]) -> str:
         """Persist one JSON record atomically; returns its content digest.
 
         See the module docstring's "persisting a new record kind" recipe.
@@ -627,7 +614,6 @@ class DurableCheckpointStore(CheckpointStore):
             os.path.join("records", kind, f"{int(self._manifest['seq']) + 1:06d}.json"),
             canonical_json(dict(payload)),
         )
-        entry["committed"] = bool(committed)
         self._journal("record", key=f"{kind}/{name}", entry=entry)
         return str(entry["file_digest"])
 
@@ -637,15 +623,11 @@ class DurableCheckpointStore(CheckpointStore):
             return None
         return json.loads(self._read_payload(entry).decode())
 
-    def record_names(self, kind: str, committed_only: bool = True) -> List[str]:
+    def record_names(self, kind: str) -> List[str]:
         """Names of a kind's records in write (sequence) order."""
         prefix = f"{kind}/"
         entries: Dict[str, dict] = self._manifest["records"]  # type: ignore[assignment]
-        names = [
-            (int(e["seq"]), key[len(prefix):])
-            for key, e in entries.items()
-            if key.startswith(prefix) and (not committed_only or e.get("committed", True))
-        ]
+        names = [(int(e["seq"]), key[len(prefix):]) for key, e in entries.items() if key.startswith(prefix)]
         return [name for _, name in sorted(names)]
 
     # -- fault plans ------------------------------------------------------
@@ -711,48 +693,6 @@ class DurableCheckpointStore(CheckpointStore):
                 )
             )
         return out
-
-    # -- merge-intent WAL -------------------------------------------------
-    def begin_merge(self, scope: str, payload: Mapping[str, object]) -> str:
-        """Persist a pre-merge snapshot; returns the intent token.
-
-        The sharded runner writes this *before* its barrier merge touches
-        the parent world.  Until :meth:`commit_merge` flips the entry,
-        every reader (``pending_merges`` aside) skips it — a crash during
-        the merge leaves the disk with no partial merge, only an
-        uncommitted intent to inspect or discard.
-        """
-        token = f"{scope}-{int(self._manifest['seq']) + 1:06d}"
-        self.put_record("merge-intent", token, {"scope": scope, **dict(payload)}, committed=False)
-        return token
-
-    def commit_merge(self, token: str) -> None:
-        if f"merge-intent/{token}" not in self._manifest["records"]:  # type: ignore[operator]
-            raise KeyError(f"unknown merge intent {token!r}")
-        self._fence()
-        self._journal("merge-commit", key=f"merge-intent/{token}")
-
-    def pending_merges(self) -> List[Dict[str, object]]:
-        """Uncommitted merge intents (interrupted merges), oldest first."""
-        out = []
-        for name in self.record_names("merge-intent", committed_only=False):
-            entry = self._manifest["records"][f"merge-intent/{name}"]  # type: ignore[index]
-            if not entry.get("committed", True):
-                record = self.get_record("merge-intent", name)
-                out.append({"token": name, **(record or {})})
-        return out
-
-    def discard_pending_merges(self) -> int:
-        """Drop uncommitted intents (the crash recovery path); returns count."""
-        records: Dict[str, dict] = self._manifest["records"]  # type: ignore[assignment]
-        stale = [
-            key for key, e in records.items()
-            if key.startswith("merge-intent/") and not e.get("committed", True)
-        ]
-        if stale:
-            self._fence()
-            self._journal("discard", keys=stale)
-        return len(stale)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,10 @@ set, so the same plan replays identically and ``reset()`` rewinds a
 world for differential runs.  Everything else is pure lookups into the
 plan's sparse event tables.
 
-:class:`RetryPolicy` is the shared failure-handling knob: client delta
+:class:`RetryPolicy` is client delta delivery's failure-handling knob:
 delivery *simulates* its schedule (attempts, exponential backoff with
 seeded jitter, a deadline budget) against the plan's per-attempt outcome
-codes, while the sharded runner *executes* the same schedule for real
-between worker re-dispatch passes.
+codes.
 """
 
 from __future__ import annotations

@@ -107,10 +107,8 @@ the replayable plan-driven spelling — construct the runner with
 ``shard_faults`` events fire in the matching pooled dispatch's workers.
 Both are resolved parent-side at dispatch and travel in the task payload,
 so the env hook is read when the window is served, not when a long-lived
-worker was forked.  A ``retry_policy=`` additionally makes the retry
-passes wait out the policy's seeded exponential backoff (and caps the
-pass count / total deadline), the same :class:`~repro.faults.RetryPolicy`
-contract client delta delivery simulates.
+worker was forked.  A malformed env hook raises :class:`ValueError`
+parent-side, before any shard is dispatched.
 
 ``workers=`` resolution order: explicit argument, else the
 ``REPRO_TEST_WORKERS`` environment variable, else ``os.cpu_count()``.
@@ -158,11 +156,24 @@ def _env_workers() -> int:
 
 
 def _env_fault() -> Optional[Tuple[int, str, bool]]:
-    """The REPRO_SHARD_FAULT hook as ``(shard, mode, fires in the parent too)``."""
-    parts = os.environ.get(FAULT_ENV, "").split(":")
-    if len(parts) < 2:
+    """The REPRO_SHARD_FAULT hook as ``(shard, mode, fires in the parent too)``.
+
+    A set but malformed hook raises rather than firing something else: a
+    mistyped mode would fail in the worker and read as a recovery, a
+    mistyped scope would poison the parent too.
+    """
+    raw = os.environ.get(FAULT_ENV, "").strip()
+    if not raw:
         return None
-    return int(parts[0]), parts[1], len(parts) > 2 and parts[2] != "worker"
+    parts = raw.split(":")
+    if (
+        len(parts) not in (2, 3)
+        or not parts[0].isdecimal()
+        or parts[1] not in ("raise", "hang", "exit")
+        or parts[2:] not in ([], ["any"], ["worker"])
+    ):
+        raise ValueError(f"{FAULT_ENV}={raw!r}; expected '<shard>:<raise|hang|exit>[:<any|worker>]'")
+    return int(parts[0]), parts[1], parts[2:] == ["any"]
 
 
 def _inject_faults(payload: Dict[str, object]) -> None:
@@ -303,24 +314,11 @@ class ShardedFleetRunner:
         How many retry passes (on fresh workers where the old ones died or
         hung) failed shards get before the deterministic in-process
         fallback (0 goes straight to in-process).
-    retry_policy:
-        Optional :class:`repro.faults.RetryPolicy` governing shard
-        re-execution: its ``max_attempts`` overrides ``retries`` (total
-        pool passes), each retry pass waits out the policy's seeded
-        exponential backoff, and crossing its ``deadline_s`` sends the
-        remaining shards straight to the in-process fallback.
     fault_injector:
         Optional :class:`repro.faults.FaultInjector`; each pooled
         dispatch draws its plan-scheduled worker faults and ships them in
         the task payloads (fires in workers only — recovery keeps results
         byte-identical, so fault-plan runs merge the same bytes).
-    durable_store:
-        Optional :class:`repro.faults.durable.DurableCheckpointStore`; the
-        parent journals every serving barrier merge through it
-        (``begin_merge`` → merge → ``commit_merge``): the pre-merge ledger
-        segments are persisted *before* the parent world is touched, so a
-        crash mid-merge leaves an uncommitted journal record — detectable
-        via ``pending_merges()`` — never a silently half-merged world.
     """
 
     def __init__(
@@ -329,9 +327,7 @@ class ShardedFleetRunner:
         backend: str = "auto",
         timeout_s: float = 60.0,
         retries: int = 1,
-        retry_policy=None,
         fault_injector=None,
-        durable_store=None,
     ) -> None:
         if backend not in _BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
@@ -339,9 +335,7 @@ class ShardedFleetRunner:
         self.backend = backend
         self.timeout_s = float(timeout_s)
         self.retries = int(retries)
-        self.retry_policy = retry_policy
         self.fault_injector = fault_injector
-        self.durable_store = durable_store
         # Started by the first pooled dispatch, reused by every later one.
         self._workers: List[_Worker] = []
         weakref.finalize(self, _reap, self._workers)
@@ -485,16 +479,9 @@ class ShardedFleetRunner:
         results: List[Optional[Dict[str, object]]] = [None] * n
         failed = list(range(n))
         recovered: List[int] = []
-        policy = self.retry_policy
-        passes = policy.max_attempts if policy is not None else 1 + max(0, self.retries)
-        started = time.monotonic()
-        for attempt in range(passes):
+        for attempt in range(1 + max(0, self.retries)):
             if not failed:
                 break
-            if attempt > 0 and policy is not None:
-                if time.monotonic() - started > policy.deadline_s:
-                    break  # deadline budget spent: straight to in-process
-                time.sleep(policy.backoff_s(attempt - 1, seed=attempt - 1))
             still = self._dispatch(failed, payloads, task_fn, results)
             if attempt > 0:
                 recovered.extend(i for i in failed if i not in still)
@@ -580,28 +567,6 @@ class ShardedFleetRunner:
 
         # Barrier merge, in shard (= canonical window) order.  Nothing above
         # touched the parent world, so a raise before this point is clean.
-        # With a durable store the merge is journaled: the intent record
-        # (per-shard ledger segments, the auditable plane writes) is
-        # fsynced *before* the first parent-world mutation and committed
-        # after the last, so a crash mid-merge is detectable
-        # (``pending_merges()``) rather than a silently partial merge.
-        merge_token = None
-        if self.durable_store is not None:
-            merge_token = self.durable_store.begin_merge(
-                "serve",
-                {
-                    "model_name": model_name,
-                    "n_shards": len(task_results),
-                    "ledger_segments": [
-                        {
-                            device_id: [entry.to_dict() for entry in segment]
-                            for device_id, segment in task_result["ledger_segments"].items()
-                            if segment
-                        }
-                        for task_result in task_results
-                    ],
-                },
-            )
         for shard_index, task_result in enumerate(task_results):
             state.merge_rows(task_result["state"], shard_rows[shard_index])
             for device_id, segment in task_result["ledger_segments"].items():  # type: ignore[union-attr]
@@ -611,8 +576,6 @@ class ShardedFleetRunner:
                 engine.monitors[device_id] = monitor
             for result in task_result["results"]:  # type: ignore[union-attr]
                 report.add(result)
-        if merge_token is not None:
-            self.durable_store.commit_merge(merge_token)
         report.shard_recoveries += len(recovered)
 
     # -- federated -------------------------------------------------------

@@ -23,7 +23,7 @@ import pytest
 
 from _sharded_worlds import federated_world, serving_snapshot, serving_world
 from repro.devices import Fleet
-from repro.faults import FaultInjector, FaultPlan, FaultRates, RetryPolicy
+from repro.faults import FaultInjector, FaultPlan, FaultRates
 from repro.runtime.sharded import ShardedFleetRunner
 
 SEEDS = [
@@ -295,7 +295,7 @@ def test_plan_driven_worker_faults_recover_byte_identically():
         backend="pickle",
         timeout_s=30.0,
         fault_injector=inj,
-        retry_policy=RetryPolicy(max_attempts=2),
+        retries=1,
     )
     results = [fed.run_round(r, engine="sharded") for r in range(2)]
 

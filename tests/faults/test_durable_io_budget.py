@@ -17,7 +17,7 @@ import pytest
 
 from repro import persist
 from repro.data import ClientData
-from repro.faults import DurableCheckpointStore
+from repro.faults import DurableCheckpointStore, DurableDecisionLog, FaultPlan
 from repro.federated.client import FederatedClient
 from repro.federated.engine import FederatedEngine
 from repro.nn import make_mlp
@@ -118,3 +118,23 @@ def test_manifest_bytes_written_are_linear_in_rounds(run):
     per_round = [_written(ops, _is_manifest) for ops in rounds]
     assert sum(per_round[-10:]) <= 1.5 * sum(per_round[:10])
     assert median(per_round) <= 4096
+
+
+@pytest.mark.parametrize("writer", ["put_record", "put_plan", "decision_log"])
+def test_record_writes_issue_three_syncs(writer, tmp_path):
+    """A record is its file, atomically (2 syncs), then one journal line (1).
+    The first into a fresh store also creates ``records/``,
+    ``records/<kind>/`` and the journal: one directory fsync each."""
+    store = DurableCheckpointStore(str(tmp_path / "store"))
+    log = DurableDecisionLog(str(tmp_path / "log"))
+    write = {
+        "put_record": lambda i: store.put_record("note", str(i), {"i": i}),
+        "put_plan": lambda i: store.put_plan(FaultPlan(seed=i)),
+        "decision_log": lambda i: log.append({"cycle": i}),
+    }[writer]
+    counts = []
+    for i in range(4):
+        with persist.recording() as ops:
+            write(i)
+        counts.append(_syncs(ops))
+    assert counts == [6, 3, 3, 3]

@@ -253,51 +253,6 @@ class TestPlanAndLedgerPersistence:
             replay.append_segment(segments["dev-0"])
 
 
-class TestMergeIntentWal:
-    def test_begin_merge_is_pending_until_committed(self, tmp_path):
-        store = DurableCheckpointStore(tmp_path)
-        token = store.begin_merge("serve", {"n_shards": 2})
-        assert [p["token"] for p in store.pending_merges()] == [token]
-        store.commit_merge(token)
-        assert store.pending_merges() == []
-
-    def test_crash_mid_merge_is_detectable_from_fresh_process(self, tmp_path):
-        store = DurableCheckpointStore(tmp_path)
-        done = store.begin_merge("serve", {"n_shards": 2})
-        store.commit_merge(done)
-        interrupted = store.begin_merge("serve", {"n_shards": 3})
-        # "crash": no commit_merge; a fresh process inspects and discards.
-        fresh = DurableCheckpointStore(tmp_path)
-        pending = fresh.pending_merges()
-        assert [p["token"] for p in pending] == [interrupted]
-        assert pending[0]["n_shards"] == 3
-        assert fresh.discard_pending_merges() == 1
-        assert fresh.pending_merges() == []
-
-    def test_commit_unknown_token_raises(self, tmp_path):
-        store = DurableCheckpointStore(tmp_path)
-        with pytest.raises(KeyError):
-            store.commit_merge("serve-000042")
-
-    def test_sharded_serve_journals_the_barrier_merge(self, tmp_path):
-        from _sharded_worlds import serving_world
-        from repro.runtime.sharded import ShardedFleetRunner
-
-        engine, window = serving_world(seed=5, n_devices=6)
-        store = DurableCheckpointStore(tmp_path)
-        engine.shard_runner = ShardedFleetRunner(
-            workers=2, backend="inline", durable_store=store
-        )
-        report = engine.serve_fleet("m", window, engine="sharded")
-        assert report is not None
-        assert store.pending_merges() == []  # committed
-        names = store.record_names("merge-intent", committed_only=False)
-        assert len(names) == 1
-        record = store.get_record("merge-intent", names[0])
-        assert record["scope"] == "serve"
-        assert record["n_shards"] >= 2
-
-
 class TestDecisionLog:
     def test_append_load_round_trip(self, tmp_path):
         log = DurableDecisionLog(tmp_path)
@@ -458,12 +413,12 @@ class TestJournal:
         monkeypatch.setattr(durable, "_COMPACT_MIN_BYTES", 256)
         store = DurableCheckpointStore(tmp_path)
         store.put_plan(FaultPlan(seed=1, interrupts=((0, 1),)))
-        token = store.begin_merge("serve", {"n_shards": 2})
+        store.put_record("note", "a", {"n": 1})
+        store.put_record("note", "b", {"n": 2})
         for r in range(6):
             store.put(_ckpt(round_index=r))
             store.record_commit(r, np.full(3, float(r)), {"round_index": r})
             store.clear_round(r)
-        store.commit_merge(token)
         # 15 mutations: the snapshot absorbed some, the journal holds the rest
         snapshot_seq = json.loads(open(os.path.join(store.root, "MANIFEST.json")).read())["seq"]
         assert 0 < snapshot_seq < store._manifest["seq"] == 15
@@ -473,7 +428,7 @@ class TestJournal:
         assert fresh._manifest == store._manifest
         assert [c["round_index"] for c in fresh.commits()] == list(range(6))
         assert fresh.load_plan().interrupts == ((0, 1),)
-        assert fresh.pending_merges() == []
+        assert fresh.record_names("note") == ["a", "b"]
 
     def test_snapshot_newer_than_journal_records_skips_them(self, tmp_path):
         """A crash between compaction's snapshot and its journal reset."""
@@ -545,12 +500,26 @@ class TestPersistedVersions:
         with open(os.path.join(store.root, "MANIFEST.log"), "ab") as fh:
             fh.write(_journal_line({"seq": seq, **record}))
 
-    def test_unknown_journal_op_raises_naming_it(self, tmp_path):
+    @pytest.mark.parametrize(
+        "op, fields",
+        [
+            ("defragment", {}),
+            # The retired merge-intent WAL's two ops: a dir that used it is
+            # refused by name, not replayed up to the line it cannot read.
+            ("merge-commit", {"key": "merge-intent/serve-000002"}),
+            ("discard", {"keys": ["merge-intent/serve-000002"]}),
+        ],
+    )
+    def test_unknown_journal_op_raises_naming_it(self, tmp_path, op, fields):
         store = DurableCheckpointStore(tmp_path)
         store.put(_ckpt())
-        self._append_record(store, v=2, op="defragment")
-        with pytest.raises(CheckpointCorrupted, match="unknown journal op 'defragment'"):
+        store.put_record("merge-intent", "serve-000002", {"scope": "serve", "n_shards": 2})
+        self._append_record(store, v=2, op=op, **fields)
+        state = {n: open(os.path.join(store.root, n), "rb").read() for n in ("MANIFEST.json", "MANIFEST.log")}
+        with pytest.raises(CheckpointCorrupted, match=f"unknown journal op '{op}'"):
             DurableCheckpointStore(tmp_path)
+        for name, data in state.items():  # the refused open wrote nothing
+            assert open(os.path.join(store.root, name), "rb").read() == data
 
     def test_journal_line_of_another_format_is_refused(self, tmp_path):
         store = DurableCheckpointStore(tmp_path)

@@ -207,6 +207,47 @@ def test_env_fault_set_after_workers_started_still_fires(monkeypatch):
     assert _serving_snapshot(sharded) == _serving_snapshot(base)
 
 
+@pytest.mark.parametrize(
+    "value", ["0:hnag", "0:raise:anyy", "x:raise", "0", "0:raise:any:1", "-1:raise"]
+)
+def test_malformed_env_fault_raises_before_dispatch(value, monkeypatch):
+    """A typo must not read as a recovery (bad mode) or as ``any`` (bad
+    scope): the parent refuses it before any worker starts."""
+    engine, window = _serving_world(seed=7, n_devices=12)
+    snap_before = _serving_snapshot(engine)
+    monkeypatch.setenv(FAULT_ENV, value)
+    with _fault_runner() as runner:
+        engine.shard_runner = runner
+        with pytest.raises(ValueError, match=f"{FAULT_ENV}=.*<shard>:<raise\\|hang\\|exit>"):
+            engine.serve_fleet("m", window, engine="sharded")
+        assert runner._workers == []
+    assert _serving_snapshot(engine) == snap_before
+
+
+# -- the non-fork start path -------------------------------------------------
+
+
+def test_spawn_started_workers_train_byte_identically(monkeypatch):
+    """Workers use ``fork`` where available, else the platform default; a
+    ``spawn`` context (macOS, Windows) must give the same bytes."""
+    import repro.runtime.sharded as sharded
+    from repro.federated.engine import partition_cohorts, train_clients_batched
+
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(sharded.mp, "get_context", lambda method=None: spawn)
+    fed = _federated_world(seed=0, n_clients=12)
+    model, clients = fed.global_model, list(fed.clients.values())
+    cohorts = [[clients[i] for i in c.indices] for c in partition_cohorts(model, clients) if c.batched]
+    assert len(cohorts) == 6
+    expected = [train_clients_batched(model, cohort) for cohort in cohorts]
+    with ShardedFleetRunner(workers=2, backend="pickle") as runner:
+        trained, recovered = runner.train_cohorts(model, cohorts)
+        assert {type(w.process) for w in runner._workers} == {spawn.Process}
+    assert recovered == 0
+    for got, want in zip(trained, expected):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 # -- no orphans --------------------------------------------------------------
 
 
