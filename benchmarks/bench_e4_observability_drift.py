@@ -14,6 +14,10 @@ the scalar-state P² kernel and the per-device-window cost of
 ``TelemetryRecorder.record_batch`` against the formulations they replaced
 (kept as oracles in ``tests/observability/test_sketch_kernels.py``); P² must
 stay >= 3x cheaper than the ndarray oracle, marker for marker.
+``test_e4_ks_kernel_cost`` replays an e0-shaped ``ks_statistic_columns``
+call mix against the two-search tie-rank kernel it replaced (kept as an
+oracle in ``tests/observability/test_ks_kernel.py``): byte-identical
+statistics, >= 1.6x cheaper.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.observability import (
     PSIDetector,
     P2Quantile,
     TelemetryRecorder,
+    ks_statistic_columns,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "observability"))
@@ -44,6 +49,7 @@ from test_sketch_kernels import (  # noqa: E402
     parent_recorder,
     recorder_state,
 )
+from test_ks_kernel import parent_ks_columns  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -291,3 +297,51 @@ def test_e4_sketch_update_cost(benchmark, smoke_mode):
     assert result["record_batch_speedup"] >= 2.0, (
         f"record_batch only {result['record_batch_speedup']:.1f}x cheaper than the per-channel path"
     )
+
+
+def test_e4_ks_kernel_cost(benchmark, smoke_mode):
+    """KS column-kernel cost on e0's call mix (>= 1.6x guardrail).
+
+    The shape is e0's ``serve_monitored`` sweep: one 300x16 reference
+    shared by a bucket of g in [1, 20] devices with m in [2, 60] rows each.
+    A quarter of the live values repeat a reference value and windows hold
+    repeated rows, so the tie paths run.  Every call must return the same
+    bytes as the replaced kernel.
+    """
+    n_calls = 60 if smoke_mode else 300
+    rng = np.random.default_rng(5)
+    ref_sorted = np.sort(rng.normal(size=(300, 16)), axis=0)
+    calls = []
+    for _ in range(n_calls):
+        g, m = int(rng.integers(1, 21)), int(rng.integers(2, 61))
+        live = rng.normal(loc=rng.choice([0.0, 0.0, 0.0, 1.0]), size=(m, g * 16))
+        ties = rng.random(live.shape) < 0.25
+        live[ties] = ref_sorted[rng.integers(0, 300, ties.sum()), np.nonzero(ties)[1] % 16]
+        live[1::3] = live[::3][: len(live[1::3])]
+        calls.append(live)
+
+    def sweep(kernel):
+        t0 = time.perf_counter()
+        out = [kernel(ref_sorted, live) for live in calls]
+        return out, time.perf_counter() - t0
+
+    def scenario():
+        sweep(ks_statistic_columns)  # warm
+        new_times, old_times = [], []
+        for _ in range(3):  # alternate, keep the best of each
+            new_out, seconds = sweep(ks_statistic_columns)
+            new_times.append(seconds)
+            old_out, seconds = sweep(parent_ks_columns)
+            old_times.append(seconds)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(new_out, old_out)), "KS kernel diverged"
+        new_s, old_s = min(new_times), min(old_times)
+        return {
+            "n_calls": n_calls,
+            "ks_us_per_call": new_s / n_calls * 1e6,
+            "ks_oracle_us_per_call": old_s / n_calls * 1e6,
+            "ks_speedup": old_s / max(new_s, 1e-12),
+        }
+
+    result = benchmark.pedantic(scenario, rounds=1, iterations=1)
+    benchmark.extra_info.update(result)
+    assert result["ks_speedup"] >= 1.6, f"KS kernel only {result['ks_speedup']:.2f}x cheaper than the oracle"

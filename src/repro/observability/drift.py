@@ -164,17 +164,39 @@ def ks_statistic_columns(reference_sorted: np.ndarray, live: np.ndarray) -> np.n
     cost once per *feature*, not once per (device, feature).
 
     Bit-identical to ``scipy.stats.ks_2samp(ref, live).statistic`` per
-    column: both evaluate ``|ECDF_ref - ECDF_live|`` at every sample with
-    the same integer rank counts and the same float divisions.  Instead of
-    sorting the merged sample per column (what scipy does), the live window
-    is sorted once for all columns and the reference ranks come from two
-    ``searchsorted`` lookups per feature against the *pre-sorted* reference.
-    The max gap over the merged sample is recovered from the live points
-    alone: between consecutive live values the live ECDF is constant, so the
-    gap is extremal either **at** a live point (right-continuous ranks) or
-    **just below** one (left ranks) — and the gap at the global maximum is
-    always exactly 0, which the ``maximum(..., 0)`` / ``minimum(..., 0)``
-    terms account for.
+    column on NaN-free input: both evaluate ``|ECDF_ref - ECDF_live|`` at
+    every sample with the same integer rank counts and the same float
+    divisions.  Instead of sorting the merged sample per column (what scipy
+    does), the live window is sorted once, and the reference ranks come
+    from the *pre-sorted* reference.  Between consecutive live values the
+    live ECDF is constant, so the gap is extremal either **at** a live
+    point or **just below** one, and the gap at the global maximum is
+    always exactly 0 — the ``maximum(..., 0)`` / ``minimum(..., 0)`` terms.
+
+    *One search per key.*  The live block is sorted feature-major (row
+    ``f * g + j`` is device ``j``'s feature ``f``), so each feature's keys
+    are ``g`` contiguous ascending runs and take one ``side="right"``
+    search, giving ``cnt_right`` (# ref <= x).  ``# ref < x`` is then
+    ``cnt_right`` minus one where the reference value just below is equal
+    to the key — exact when the reference column holds no repeated value
+    and no NaN.  Columns that do (checked per call from the sorted
+    reference) take a second ``side="left"`` search.
+
+    *Positional ranks.*  The gaps use the position ``i`` of a key in its
+    sorted run instead of its tie group's ranks: ``below = cnt_left/n1 -
+    i/m`` and ``at = cnt_right/n1 - (i+1)/m``.  IEEE division and
+    subtraction are monotone, so across tie groups ``below[i+1] >= at[i]``,
+    and inside a group a positional value lies below the group's ``below``
+    (above its ``at``).  ``max(below)`` and ``min(at)`` are therefore
+    reached at the same group edges as the tie-rank max and min over both
+    arrays, and are the same floats.
+
+    *NaN-reference edge.*  Every live NaN is its own tie group, but the
+    search counts a NaN key equal to the reference's NaNs, which breaks
+    ``below[i+1] >= at[i]`` between live NaNs.  For a column whose live
+    window holds a NaN, ``at`` at its first NaN joins the max and ``below``
+    at its last row joins the min; both are members of the tie-rank sets,
+    so this is exact whether or not the reference holds a NaN.
     """
     ref = np.asarray(reference_sorted, dtype=np.float64)
     liv = np.asarray(live, dtype=np.float64)
@@ -185,36 +207,31 @@ def ks_statistic_columns(reference_sorted: np.ndarray, live: np.ndarray) -> np.n
     if m == 0:
         return np.zeros(C)
     g = C // d
-    L = np.sort(liv, axis=0)
-    # Tie-aware ranks of each sorted live value within its own column:
-    # rank_left = # live < x (tie-group start), rank_right = # live <= x.
-    idx = np.arange(m)[:, None]
-    new_grp = np.empty((m, C), dtype=bool)
-    new_grp[0] = True
-    end_grp = np.empty((m, C), dtype=bool)
-    end_grp[-1] = True
-    if m > 1:
-        np.not_equal(L[1:], L[:-1], out=new_grp[1:])
-        end_grp[:-1] = new_grp[1:]
-    rank_left = np.where(new_grp, idx, 0)
-    np.maximum.accumulate(rank_left, axis=0, out=rank_left)
-    rank_right = np.where(end_grp, idx + 1, m)
-    rank_right = np.flip(np.minimum.accumulate(np.flip(rank_right, axis=0), axis=0), axis=0)
-    # Reference ranks of every live value: two searchsorted calls per
-    # feature column, shared across all devices stacked on that feature.
-    cnt_left = np.empty((m, C), dtype=np.int64)
-    cnt_right = np.empty((m, C), dtype=np.int64)
-    for c in range(d):
-        cols = slice(c, C, d)
-        q = L[:, cols].ravel()
-        cnt_left[:, cols] = np.searchsorted(ref[:, c], q, side="left").reshape(m, g)
-        cnt_right[:, cols] = np.searchsorted(ref[:, c], q, side="right").reshape(m, g)
-    at = cnt_right / n1 - rank_right / m  # ECDF gap at each live point
-    sup = cnt_left / n1 - rank_left / m  # ECDF gap just below each live point
-    max_s = np.maximum(np.maximum(at.max(axis=0), sup.max(axis=0)), 0.0)
-    min_c = np.minimum(np.minimum(at.min(axis=0), sup.min(axis=0)), 0.0)
+    # np.sort, not .sort(): with g == 1 or d == 1 the reshape is a view of
+    # the caller's window.
+    keys = np.sort(liv.T.reshape(g, d, m).transpose(1, 0, 2).reshape(C, m), axis=1)
+    cols = np.ascontiguousarray(ref.T)
+    runs = keys.reshape(d, g * m)
+    cnt_right = np.concatenate([np.searchsorted(cols[f], runs[f], side="right") for f in range(d)]).reshape(C, m)
+    # The reference value just below each key, read from the flat (d, n1)
+    # reference; a key with cnt_right == 0 reads a neighbour and is masked.
+    below_key = np.take(cols, cnt_right - 1 + (np.arange(C) // g * n1)[:, None])
+    cnt_left = cnt_right - ((cnt_right > 0) & (below_key == keys))
+    repeated = np.isnan(ref[-1]) | (ref[1:] == ref[:-1]).any(axis=0)
+    for f in np.flatnonzero(repeated):
+        cnt_left.reshape(d, g * m)[f] = np.searchsorted(cols[f], runs[f], side="left")
+    i = np.arange(m)
+    below = cnt_left / n1 - i / m  # ECDF gap just below each live point
+    at = cnt_right / n1 - (i + 1) / m  # ECDF gap at each live point
+    max_s = np.maximum(below.max(axis=1), 0.0)
+    min_c = np.minimum(at.min(axis=1), 0.0)
+    nan_rows = np.flatnonzero(np.isnan(keys[:, -1]))
+    if nan_rows.size:
+        first = np.isnan(keys[nan_rows]).argmax(axis=1)
+        max_s[nan_rows] = np.maximum(max_s[nan_rows], at[nan_rows, first])
+        min_c[nan_rows] = np.minimum(min_c[nan_rows], below[nan_rows, -1])
     min_s = np.clip(-min_c, 0.0, 1.0)
-    return np.maximum(min_s, max_s)
+    return np.maximum(min_s, max_s).reshape(d, g).T.ravel()
 
 
 def fused_histogram_counts(

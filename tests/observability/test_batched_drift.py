@@ -218,3 +218,24 @@ class TestNonFiniteIsolation:
         live[4, 0] = np.inf
         got = jensen_shannon_divergence_columns(np.sort(ref, axis=0), live)
         assert got[1] == jensen_shannon_divergence(ref[:, 1], live[:, 1])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "no NaN policy for drift detectors yet (ROADMAP slice 8e): batched KS "
+        "ranks a NaN live value above every sample and returns a finite "
+        "statistic (0.22 here) where scipy's oracle returns NaN, and the "
+        "oracle's per-feature max() is NaN only when the NaN column comes "
+        "first (max(nan, x) is nan, max(x, nan) is x)"
+    ),
+)
+def test_nan_live_value_scores_nan_on_both_engines(rng):
+    """Pinned, not fixed: a detector returning something else is its own PR."""
+    ref = rng.normal(size=(100, 3))
+    live = rng.normal(size=(20, 3))
+    for col in range(3):
+        window = live.copy()
+        window[3, col] = np.nan
+        assert np.isnan(KSDetector(ref).score(window))
+        assert np.isnan(KSDetector(ref, engine="oracle").score(window))
