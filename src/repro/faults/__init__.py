@@ -58,10 +58,10 @@ kind                   effect
 Crash recovery
 --------------
 
-In-memory :class:`CheckpointStore` survives an *exception*;
-:class:`~repro.faults.durable.DurableCheckpointStore` (and
-:class:`~repro.faults.durable.DurableDecisionLog`) survive a *process
-death*.  The index is a self-digested snapshot plus a journal of
+One store: :class:`CheckpointStore` keeps its files in a dict and survives
+an *exception*; :class:`~repro.faults.durable.DurableCheckpointStore`
+(and :class:`~repro.faults.durable.DurableDecisionLog`), the same code
+with the files in a directory, survive a *process death*.  The index is a self-digested snapshot plus a journal of
 self-digested lines — one appended, fsynced line per mutation, so every
 ``put`` / ``record_commit`` is acknowledged on disk before it returns.
 Checkpoints are written incrementally (only the cohorts the store does
@@ -71,7 +71,7 @@ write-to-temp → fsync → atomic rename.  Every load re-verifies size,
 file digest and the recomputed content digest: a torn *last* write is
 invisible, damage to anything acknowledged surfaces as a typed
 :class:`~repro.faults.durable.CheckpointCorrupted`, never as silently
-wrong state.  Both stores keep the checkpoint archive of the two newest
+wrong state.  The store keeps the checkpoint archive of the two newest
 committed rounds (plus every uncommitted one); commit records are kept
 forever.  A state dir has one writer — a stale second one is refused.
 ``tests/faults/test_crash_states.py`` enumerates every prefix of a

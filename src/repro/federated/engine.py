@@ -906,12 +906,12 @@ class FederatedEngine:
         The :class:`repro.faults.RetryPolicy` governing delta-delivery
         retries (defaults to ``RetryPolicy()`` when an injector is set).
     checkpoints:
-        Optional :class:`repro.faults.CheckpointStore`.  When set, the
-        round persists a :class:`RoundCheckpoint` after selection and after
-        every completed cohort sweep (every client on the oracle); a
-        ``RoundInterrupted`` round re-issued against the same store
-        resumes from the checkpoint and commits byte-identically to an
-        uninterrupted run.
+        Optional :class:`repro.faults.CheckpointStore` (files in a dict)
+        or :class:`repro.faults.DurableCheckpointStore` (the same store,
+        files in a directory).  The round puts a :class:`RoundCheckpoint`
+        after selection and every completed cohort sweep (every client on
+        the oracle) and records each commit; a ``RoundInterrupted`` round
+        re-issued against the store resumes byte-identically.
     """
 
     def __init__(

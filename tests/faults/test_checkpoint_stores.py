@@ -3,13 +3,19 @@
 Every test here runs against both ``CheckpointStore()`` and a
 ``DurableCheckpointStore`` on a fresh tmpdir — the durable plane's whole
 point is that the engine cannot tell the difference until the process
-dies.
+dies.  ``test_stores_move_in_lock_step`` drives both with one drawn op
+sequence and compares them after every op.
 """
+
+import copy
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.faults import CheckpointStore, DurableCheckpointStore, RoundCheckpoint
+from repro.faults import CheckpointStore, DurableCheckpointStore, FaultPlan, RoundCheckpoint
 
 
 @pytest.fixture(params=["memory", "durable"])
@@ -122,6 +128,33 @@ class TestStoreContract:
             store.record_commit(r, np.full(3, float(r)), {"round_index": r})
         assert store.latest_commit()["round_index"] == 2
 
+    def test_commit_result_comes_back_as_json(self, store_factory):
+        """A tuple comes back a list and a NumPy scalar a float, on both flavours."""
+        store = store_factory()
+        store.record_commit(0, np.zeros(3), {"participants": ("a", "b"), "accuracy": np.float64(0.5)})
+        result = store_factory().latest_commit()["result"]
+        assert result == {"participants": ["a", "b"], "accuracy": 0.5}
+        assert type(result["accuracy"]) is float
+
+    def test_restored_cohort_arrays_are_read_only(self, store_factory):
+        store = store_factory()
+        digest = store.put(_ckpt(positions=(0, 1)))
+        restored = store_factory().get(digest)
+        for arrays in restored.cohorts.values():
+            assert not any(array.flags.writeable for array in arrays.values())
+
+    def test_plans_and_records_round_trip(self, store_factory):
+        store = store_factory()
+        plan = FaultPlan(seed=3, interrupts=((1, 0),))
+        digest = store.put_plan(plan)
+        store.put_record("note", "b", {"n": 2})
+        store.put_record("note", "a", {"n": 1})
+        reopened = store_factory()
+        assert reopened.load_plan().digest() == reopened.load_plan(digest).digest() == digest
+        assert reopened.record_names("note") == ["b", "a"]
+        assert reopened.get_record("note", "a") == {"n": 1}
+        assert reopened.get_record("note", "c") is None
+
 
 class TestArchiveRetention:
     """``record_commit`` retires the archive of committed rounds older than
@@ -146,7 +179,7 @@ class TestArchiveRetention:
         store.put(_ckpt(round_index=0))
         store.record_commit(0, np.zeros(3), {"round_index": 0})
         assert store.latest_for(0, "m") is None
-        store.clear_round(0)  # what the engine calls next: nothing left to do
+        store.clear_round(0)  # the pointers went with the commit: nothing left to drop
 
     def test_an_uncommitted_rounds_checkpoints_are_never_retired(self, store_factory):
         store = store_factory()
@@ -189,3 +222,61 @@ class TestDurableRestart:
         first.clear_round(0)
         second = DurableCheckpointStore(tmp_path / "s")
         assert second.latest_for(0, "m") is None
+
+
+# (op, round, model digest, value): put a checkpoint that extends the key's
+# head by one cohort, one that does not, or re-put a held one; clear or
+# commit a round; write a record.
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["extend", "fresh", "reput", "clear", "commit", "record"]),
+    st.integers(0, 3), st.sampled_from("mn"), st.integers(0, 2),
+), max_size=14)
+
+
+def _observe(store, digests):
+    """What the contract lets a caller see of a store."""
+    commit = store.latest_commit()
+    if commit is not None:
+        commit = dict(commit, weights=commit["weights"].tobytes())
+    return (
+        len(store),
+        {(r, m): getattr(store.latest_for(r, m), "digest", lambda: None)() for r in range(4) for m in "mn"},
+        {d for d in digests if store.get(d) is None},
+        commit,
+        [store.record_names(f"k{v}") for v in range(3)],
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(ops=_OPS)
+def test_stores_move_in_lock_step(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        stores = CheckpointStore(), DurableCheckpointStore(tmp)
+        heads, held, digests = {}, [], set()
+        for op, r, m, v in ops:
+            if op in ("extend", "fresh", "reput"):
+                if op == "extend":
+                    ckpt = heads.setdefault((r, m), _ckpt(r, m, positions=()))
+                    position = ckpt.n_cohorts_done
+                    ckpt.record_cohort(position, [position], np.full((1, 3), float(v)), np.ones(1), np.ones(1))
+                elif op == "fresh":
+                    ckpt = heads[r, m] = _ckpt(r, m, value=10.0 + v, positions=range(v))
+                elif not held:
+                    continue
+                else:
+                    ckpt = held[v % len(held)]
+                held.append(copy.deepcopy(ckpt))
+                digests.update(store.put(ckpt) for store in stores)
+            elif op == "clear":
+                for store in stores:
+                    store.clear_round(r)
+            elif op == "commit":
+                result = {"round_index": r, "participants": ("a", m), "accuracy": np.float64(v) / 4}
+                for store in stores:
+                    store.record_commit(r, np.full(3, float(v)), result, {"state": v})
+            else:
+                for store in stores:
+                    store.put_record(f"k{v}", f"{m}{r}", {"round": r})
+            memory, durable = (_observe(store, digests) for store in stores)
+            assert memory == durable, f"after {op} {r} {m} {v}"
+        assert _observe(DurableCheckpointStore(tmp), digests) == _observe(stores[0], digests)

@@ -4,9 +4,11 @@ The SIGKILL suite (``test_crash_recovery.py``) kills a real process at a
 few timed points.  This suite replaces luck with enumeration: it records
 the schedule of durable operations (``repro.persist.recording``) of one
 small reference run — five rounds of two cohorts, one coordinator
-interrupt, with the compaction threshold shrunk so the run compacts its
-manifest and reuses a retired slot — and then, for **every** prefix of
-that schedule, materialises the directory two crash models would leave:
+interrupt, a ledger segment persisted after every round and one lifecycle
+decision appended at the end, with the compaction threshold shrunk so the
+run compacts its manifest and reuses a retired slot — and then, for
+**every** prefix of that schedule, materialises the directory two crash
+models would leave:
 
 *process death*
     every issued operation applied (the page cache survives the process);
@@ -17,28 +19,38 @@ that schedule, materialises the directory two crash models would leave:
     directory's last fsync is absent.
 
 Each state is opened, checked against what the dead process had
-*acknowledged* (a returned ``put`` / ``record_commit`` must be there),
-resumed with the ``examples/crash_recovery.py`` recipe and run to the end;
-final weights, every ``commits()`` record and the committed-round list
-must equal the never-crashed run byte for byte.  ``test_missing_sync_is_
-caught`` then deletes one class of sync from the schedule at a time and
-asserts the enumeration notices — the proof is only worth what it can
-reject.
+*acknowledged* (a returned ``put`` / ``record_commit`` / record write must
+be there), resumed with the ``examples/crash_recovery.py`` recipe and run
+to the end; final weights, every ``commits()`` record, the committed-round
+list, the ledger segments and the decision log must equal the
+never-crashed run byte for byte.  ``test_missing_sync_is_caught`` then
+deletes one class of sync from the schedule at a time and asserts the
+enumeration notices — the proof is only worth what it can reject.  ``test_op_schedule_is_pinned`` compares the schedule itself
+with ``tests/pins/state/crash_schedule.json`` (``python -m tests.pins
+--update`` re-records it): a refactor of the store must issue the same
+operations with the same bytes.
 """
 
 import dataclasses
 import hashlib
+import json
 import os
+import re
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.faults.durable as durable
 from repro import persist
+from repro.billing.metering import LedgerEntry
 from repro.data import ClientData
 from repro.faults import (
     CheckpointCorrupted,
     DurableCheckpointStore,
+    DurableDecisionLog,
     FaultInjector,
     FaultPlan,
     FaultRates,
@@ -50,6 +62,8 @@ from repro.nn import make_mlp
 
 N_ROUNDS = 5
 BLOCK = 4096
+DECISION = {"cycle": 0, "promoted": True}
+SCHEDULE_PIN = Path(__file__).resolve().parents[1] / "pins" / "state" / "crash_schedule.json"
 
 
 def _world() -> FederatedEngine:
@@ -74,6 +88,11 @@ def _plan(engine: FederatedEngine) -> FaultPlan:
     return dataclasses.replace(plan, interrupts=((2, 1),))
 
 
+def _segment(r: int):
+    """The ledger segment a coordinator exports after round ``r`` commits."""
+    return {"dev-0": [LedgerEntry(r, "g0", "m", float(r), f"{r:064x}", f"{r + 1:064x}", r + 1)]}
+
+
 class _AckingStore(DurableCheckpointStore):
     """Marks, in the recorded schedule, the point each mutation was acknowledged."""
 
@@ -95,13 +114,18 @@ class _AckingStore(DurableCheckpointStore):
         self._ops.append(("ack", "plan", digest))
         return digest
 
+    def put_ledger_segments(self, label, segments):
+        digest = super().put_ledger_segments(label, segments)
+        self._ops.append(("ack", "segment", label))
+        return digest
+
 
 def _process(root, ops=None, acked=()):
     """One coordinator process — the ``examples/crash_recovery.py`` recipe:
     open the state dir, restore the latest commit, resume, finish."""
     engine = _world()
     store = DurableCheckpointStore(root) if ops is None else _AckingStore(root, ops)
-    _check_acknowledged(store, acked)
+    _check_acknowledged(store, root, acked)
     engine.checkpoints = store
     plan = store.load_plan()
     if plan is None:  # died before the plan was acknowledged: regenerate it from its seed
@@ -114,8 +138,18 @@ def _process(root, ops=None, acked=()):
         engine.global_model.set_flat_weights(commit["weights"])
         engine._restore_scheduler_rng(commit["scheduler_state"])
         start = int(commit["round_index"]) + 1
+    exported = set(store.record_names("ledger-segment"))
+    for r in range(start):  # died between a commit and its segment: export it now
+        if f"round-{r}" not in exported:
+            store.put_ledger_segments(f"round-{r}", _segment(r))
     for r in range(start, N_ROUNDS):
         engine.run_round(r)
+        store.put_ledger_segments(f"round-{r}", _segment(r))
+    log = DurableDecisionLog(root)
+    if not len(log):
+        log.append(DECISION)
+        if ops is not None:
+            ops.append(("ack", "decision"))
     return (
         engine.global_model.get_flat_weights().tobytes(),
         [
@@ -123,7 +157,18 @@ def _process(root, ops=None, acked=()):
              persist.canonical_json(c["scheduler_state"]))
             for c in store.commits()
         ],
+        _segments(store),
+        log.load(),
     )
+
+
+def _dicts(segments):
+    return {device: [entry.to_dict() for entry in entries] for device, entries in segments.items()}
+
+
+def _segments(store):
+    """Every persisted ledger segment, in write order (each read is verified)."""
+    return [(label, _dicts(segments)) for label, segments in store.iter_ledger_segments()]
 
 
 def _run_to_end(root, ops=None, acked=()):
@@ -134,10 +179,16 @@ def _run_to_end(root, ops=None, acked=()):
             acked = ()  # the plan's interrupt: the next process starts from the state dir alone
 
 
-def _check_acknowledged(store, acked) -> None:
+def _check_acknowledged(store, root, acked) -> None:
     """What the dead process was told is durable must be there on open."""
     if any(a[1] == "plan" for a in acked):
         assert store.load_plan() is not None, "acknowledged fault plan lost"
+    segments = dict(_segments(store))
+    for label in {a[2] for a in acked if a[1] == "segment"}:
+        expected = _dicts(_segment(int(label.split("-")[1])))
+        assert segments.get(label) == expected, f"acknowledged segment {label} lost"
+    if any(a[1] == "decision" for a in acked):
+        assert DurableDecisionLog(root).load() == [DECISION], "acknowledged decision lost"
     committed = {c["round_index"] for c in store.commits()}
     commits = {a[2] for a in acked if a[1] == "commit"}
     assert commits <= committed, f"acknowledged commits {sorted(commits - committed)} lost"
@@ -203,8 +254,8 @@ def _materialise(state, root, target) -> None:
     os.makedirs(target)
     for name in sorted(state, key=len):  # parents before children
         rel = os.path.relpath(name, root)
-        if rel.startswith(".."):
-            continue  # the state dir's own parent
+        if rel == "." or rel.startswith(".."):
+            continue  # the state dir itself and its parent
         dest = os.path.join(target, rel)
         if not os.path.isdir(os.path.dirname(dest)):
             continue  # its directory never became durable: the name is gone with it
@@ -218,18 +269,58 @@ def _materialise(state, root, target) -> None:
 # ---------------------------------------------------------------------------
 # reference run + enumeration
 # ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def reference(tmp_path_factory):
-    """(root, recorded schedule, fingerprint) of the never-crashed run."""
-    root = str(tmp_path_factory.mktemp("reference") / "state")
-    patch = pytest.MonkeyPatch()
-    patch.setattr(durable, "_COMPACT_MIN_BYTES", 1024)  # compact inside five rounds
+def record_reference(root):
+    """The never-crashed run in ``root``: ``(recorded schedule, fingerprint)``."""
+    saved, durable._COMPACT_MIN_BYTES = durable._COMPACT_MIN_BYTES, 1024  # compact inside five rounds
     try:
         with persist.recording() as ops:
             expected = _run_to_end(root, ops)
     finally:
-        patch.undo()
-    return root, list(ops), expected, {}
+        durable._COMPACT_MIN_BYTES = saved
+    return list(ops), expected
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """(root, recorded schedule, fingerprint) of the never-crashed run."""
+    root = str(tmp_path_factory.mktemp("reference") / "state")
+    ops, expected = record_reference(root)
+    return root, ops, expected, {}
+
+
+def schedule_rows(ops, root):
+    """The durable operations of a schedule as pin rows: ``[kind, path]``
+    relative to ``root`` (temp-file names as ``.tmp-*``), plus a write's
+    offset, size and data sha256, a rename's target, a truncate's size."""
+    def rel(path):
+        return re.sub(r"\.tmp-[^/]*\Z", ".tmp-*", os.path.relpath(path, root))
+
+    rows = []
+    for kind, path, *args in (op for op in ops if op[0] != "ack"):
+        row = [kind, rel(path)]
+        if kind == "write":
+            offset, data = args
+            row += [offset, len(data), hashlib.sha256(data).hexdigest()]
+        elif kind == "rename":
+            row.append(rel(args[0]))
+        elif kind == "truncate":
+            row += args
+        rows.append(row)
+    return rows
+
+
+def _versions():
+    return {"numpy": np.__version__, "python": "%d.%d" % sys.version_info[:2]}
+
+
+def write_schedule_pin() -> None:
+    """Re-record ``SCHEDULE_PIN`` (``python -m tests.pins --update`` calls this)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = os.path.join(tmp, "state")
+        rows = schedule_rows(record_reference(root)[0], root)
+    SCHEDULE_PIN.parent.mkdir(exist_ok=True)
+    head = json.dumps(_versions(), sort_keys=True)[:-1]
+    SCHEDULE_PIN.write_text(head + ', "ops": [\n' + ",\n".join(json.dumps(r) for r in rows) + "\n]}\n")
 
 
 def _state_key(state, root, acked) -> str:
@@ -266,7 +357,7 @@ def _failures(reference, ops, tmp_path, stop_at_first=False):
 
 def test_reference_run_exercises_the_whole_protocol(reference):
     root, ops, expected, _ = reference
-    weights, commits = expected
+    weights, commits, *_ = expected
     assert [c[0] for c in commits] == list(range(N_ROUNDS))
     assert len([c for c in partition_cohorts(_world().global_model, list(_world().clients.values()))
                 if c.kind == "batched"]) == 2
@@ -286,6 +377,19 @@ def test_reference_run_exercises_the_whole_protocol(reference):
     assert not [op for op in ops if op[0] == "truncate" and "slot-" in op[1]]
     # ... and the plan's coordinator interrupt (round 2 was put from two processes)
     assert len({op[2] for op in ops if op[:2] == ("ack", "put") and op[3] == 2}) == 3
+
+
+def test_op_schedule_is_pinned(reference):
+    """The store issues the operations it issued when the pin was recorded:
+    same kinds, paths and order, and — on the recording NumPy and Python,
+    whose float bits the payloads carry — the same offsets and bytes."""
+    root, ops, _, _ = reference
+    pin = json.loads(SCHEDULE_PIN.read_text())
+    got, want = schedule_rows(ops, root), pin.pop("ops")
+    if pin != _versions():
+        got, want = [row[:2] for row in got], [row[:2] for row in want]
+    first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), min(len(got), len(want)))
+    assert got == want, f"op {first} moved: pinned {want[first:first + 1]}, issued {got[first:first + 1]}"
 
 
 def test_every_crash_state_recovers_byte_identically(reference, tmp_path):
@@ -314,6 +418,11 @@ def _is(op, kind, suffix="", contains=""):
     ("rename that resets the journal at compaction",
      lambda ops, i: ops[i][0] == "dir-fsync" and ops[i - 1][0] == "rename"
      and ops[i - 1][2].endswith("MANIFEST.log")),
+    ("record payload before its rename",
+     lambda ops, i: _is(ops[i], "fsync", contains=f"{os.sep}records{os.sep}")),
+    ("name of a record in records/<kind>/",
+     lambda ops, i: ops[i][0] == "dir-fsync"
+     and os.path.basename(os.path.dirname(ops[i][1])) == "records"),
 ])
 def test_missing_sync_is_caught(reference, tmp_path, name, drop):
     """Delete one class of sync from the schedule: some crash state must fail."""

@@ -11,7 +11,8 @@ fields, scheduler RNG stream, checkpoint and plan digests, ledger head MACs,
 drift events), and for floats (weights, losses, battery ``level_j``, drift
 statistics, telemetry summaries) bit-exact on the recording NumPy,
 ``rtol=1e-12`` elsewhere.  ``python -m tests.pins --update`` rewrites all
-four files; a diff in a recorded world is a behaviour change and the PR
+four files, and ``state/crash_schedule.json`` (the durable store's op
+schedule, see ``tests/faults/test_crash_states.py``); a diff in a recorded world is a behaviour change and the PR
 title says so (appending worlds is not).  Lifecycle decision record ids are
 not pinned yet: they wait for the slice that stops pickling them (ROADMAP
 item 5c).
@@ -249,3 +250,8 @@ def update() -> None:
             offset += floats.size
         json_path.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
         np.save(npy_path, np.concatenate(chunks))
+    # the durable store's op schedule, pinned by tests/faults/test_crash_states.py
+    sys.path.insert(0, str(_HERE.parent / "faults"))
+    from test_crash_states import write_schedule_pin
+
+    write_schedule_pin()

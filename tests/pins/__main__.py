@@ -11,3 +11,4 @@ if sys.argv[1:] != ["--update"]:
 update()
 for family, (worlds, _) in FAMILIES.items():
     print(f"recorded {len(worlds)} worlds in {paths(family)[0]}")
+print("recorded the durable op schedule in tests/pins/state/crash_schedule.json")
