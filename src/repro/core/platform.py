@@ -342,9 +342,6 @@ class TinyMLOpsPlatform:
         train_in_place: bool = True,
         fault_injector=None,
         quorum: Optional[float] = None,
-        quorum_mode: str = "delivered",
-        retry_policy=None,
-        checkpoints=None,
     ) -> FederatedEngine:
         """A federated engine configured with the platform's policies.
 
@@ -354,12 +351,12 @@ class TinyMLOpsPlatform:
         (:meth:`FederatedEngine.for_candidate`) so a candidate that fails
         its canary gate never touched the serving incumbent.
 
-        ``fault_injector`` / ``quorum`` / ``quorum_mode`` /
-        ``retry_policy`` / ``checkpoints`` pass straight through to
+        ``fault_injector`` (which carries its retry policy) and ``quorum``
+        pass straight through to
         :class:`~repro.federated.engine.FederatedEngine` — the
         :mod:`repro.faults` plane — so platform-driven retraining (and the
-        lifecycle loop) can run under a seeded fault plan with
-        transactional round commits.
+        lifecycle loop) can run under a seeded fault plan.  The engine's
+        remaining fault options are set on the returned engine itself.
         """
         clients = [
             FederatedClient(cd, local_epochs=local_epochs, lr=lr, seed=self.config.seed + i)
@@ -377,9 +374,6 @@ class TinyMLOpsPlatform:
             scenario=scenario,
             fault_injector=fault_injector,
             quorum=quorum,
-            quorum_mode=quorum_mode,
-            retry_policy=retry_policy,
-            checkpoints=checkpoints,
         )
         if train_in_place:
             return FederatedEngine(model, clients, **kwargs)
@@ -495,51 +489,20 @@ class TinyMLOpsPlatform:
             "per_variant": per_variant,
         }
 
-    def lifecycle(
-        self,
-        model_name: str,
-        client_data: Sequence,
-        eval_data: Tuple[np.ndarray, np.ndarray],
-        config=None,
-        gates=None,
-        metric_probes=None,
-        fault_injector=None,
-        quorum: Optional[float] = None,
-        quorum_mode: str = "delivered",
-        retry_policy=None,
-        checkpoints=None,
-        state_dir: Optional[str] = None,
-    ):
+    def lifecycle(self, model_name: str, client_data: Sequence, eval_data: Tuple[np.ndarray, np.ndarray], **options):
         """A :class:`repro.lifecycle.LifecyclePipeline` bound to this platform.
 
         The closed loop of Section III-A: drift events (or a schedule)
         trigger federated retraining, the candidate canaries on a cloned
-        fleet slice, and the gate promotes or rolls back.  Imported lazily
-        to keep :mod:`repro.core` free of a hard lifecycle dependency.
-        ``fault_injector`` / ``quorum`` / ``quorum_mode`` /
-        ``retry_policy`` / ``checkpoints`` flow into the retraining engine
-        (:mod:`repro.faults`); ``state_dir`` makes the pipeline *durable*
-        — decisions and promotion audits persist to disk and a pipeline
-        rebuilt over the same directory resumes its cycle counter and
-        history (:class:`repro.faults.durable.DurableDecisionLog`).
+        fleet slice, and the gate promotes or rolls back.  ``options``
+        (``config``, ``gates``, ``metric_probes``, ``fault_injector``,
+        ``quorum``, ``state_dir``) are the pipeline's own keywords.
+        Imported lazily to keep :mod:`repro.core` free of a hard lifecycle
+        dependency.
         """
         from repro.lifecycle import LifecyclePipeline
 
-        return LifecyclePipeline(
-            self,
-            model_name,
-            client_data,
-            eval_data,
-            config=config,
-            gates=gates,
-            metric_probes=metric_probes,
-            fault_injector=fault_injector,
-            quorum=quorum,
-            quorum_mode=quorum_mode,
-            retry_policy=retry_policy,
-            checkpoints=checkpoints,
-            state_dir=state_dir,
-        )
+        return LifecyclePipeline(self, model_name, client_data, eval_data, **options)
 
     # ------------------------------------------------------------------
     # protection / verification (Sec. V, VI)

@@ -2,23 +2,34 @@
 
 The paper's serving path meters, battery-accounts and monitors **one query
 at a time**; fine for a 40-device demo, hopeless for "heavy traffic from
-millions of users" (ROADMAP north star).  :class:`ServingEngine` replaces
-the per-query Python loop with three O(1)-per-window batch operations while
-preserving the exact admission semantics of the loop:
+millions of users" (ROADMAP north star).  :class:`ServingEngine` serves a
+whole traffic window as **one transaction**,
+:meth:`ServingEngine._serve_fleet_window`, that preserves the exact
+admission semantics of the per-query loop:
 
 1. **Quota** — :meth:`~repro.billing.UsageLedger.record_batch` consumes
-   prepaid quota for the whole window in O(#grants), appending aggregated
-   MAC-chained ledger entries.  Queries past exhaustion are denied, so the
-   *first* ``granted`` queries of the window are admitted — a prefix,
-   exactly like the loop.
-2. **Battery** — :meth:`~repro.devices.EdgeDevice.execute_batch` computes
-   in one division how many of the admitted queries the remaining charge
-   covers; the rest fail, and the battery drains to zero just as the first
-   failing per-query draw would have left it.
+   prepaid quota for each device's window in O(#grants), appending
+   aggregated MAC-chained ledger entries.  Queries past exhaustion are
+   denied, so the *first* ``granted`` queries of the window are admitted —
+   a prefix, exactly like the loop.
+2. **Battery** — the closed-form draw computes in one division how many of
+   the admitted queries the remaining charge covers; the rest fail, and the
+   battery drains to zero just as the first failing per-query draw would
+   have left it.
 3. **Observability** — the monitor observes only the *served* slice of the
    window (inputs, predictions and correctly-sized latency/energy/memory
    arrays), fixing the historical bug where the full window was paired with
    ``served``-length telemetry arrays.
+
+Quota metering and result building are shared by every engine.  The
+default **fleet sweep** runs the other stages as one
+:meth:`~repro.devices.FleetState.draw_batch_rows` battery sweep, one
+compiled-plan :meth:`~repro.exchange.CompiledExecutor.run_many` call and
+one :meth:`~repro.observability.FleetMonitor.observe_fleet` drift sweep per
+(model, window).  ``serve_fleet(engine="oracle")`` and
+:meth:`ServingEngine.serve_batch` (a one-device window) run the same
+transaction with per-device reference kernels instead, so the oracle is a
+reference kernel, not a second copy of the control flow.
 
 :meth:`ServingEngine.serve_batch_legacy` keeps the original per-query loop
 as a reference oracle: the equivalence tests assert that batched and legacy
@@ -26,25 +37,11 @@ serving produce identical admission counts, ledger state and billing.
 (Battery admission counts are bit-identical for binary-exact energies; see
 the floating-point caveat on :meth:`~repro.devices.Battery.draw_batch`.)
 
-:meth:`ServingEngine.serve_fleet` drives an entire fleet through one or
-more traffic windows (see :mod:`repro.core.traffic` for scenario
-generators) and returns a fleet-level report.  By default it runs the
-**fleet sweep**: battery admission for the whole window is *one*
-:meth:`~repro.devices.FleetState.draw_batch_rows` sweep over the fleet's
-columnar store (quota metering stays per-device — the MAC chain is
-inherently sequential), all admitted slices of a (model, window) pair
-execute through *one* compiled-plan
-:meth:`~repro.exchange.CompiledExecutor.run_many` call, and all served
-slices feed *one* :meth:`~repro.observability.FleetMonitor.observe_fleet`
-drift sweep — instead of one ``plan.run`` + ``observe_window`` pair per
-device.
-
-Engine convention (see :mod:`repro.dispatch`): ``serve_fleet`` takes
-``engine="batched"`` (default, the fleet sweep), ``engine="oracle"``
-(the per-device :meth:`serve_batch` loop kept as the reference) or
-``engine="sharded"`` (the fleet sweep partitioned across a
-:class:`~repro.runtime.sharded.ShardedFleetRunner` process pool and merged
-at a barrier, byte-identical to ``"batched"``).
+Engine convention (see :mod:`repro.dispatch`): :meth:`ServingEngine.serve_fleet`
+takes ``engine="batched"`` (default, the fleet sweep), ``engine="oracle"``
+(the per-device kernels) or ``engine="sharded"`` (the fleet sweep
+partitioned across a :class:`~repro.runtime.sharded.ShardedFleetRunner`
+process pool and merged at a barrier, byte-identical to ``"batched"``).
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ import numpy as np
 
 from repro.billing import QuotaExceededError, UsageLedger
 from repro.devices import CostModel, Fleet
-from repro.dispatch import ENGINE_BATCHED, ENGINE_SHARDED, resolve_engine
+from repro.dispatch import ENGINE_ORACLE, ENGINE_SHARDED, resolve_engine
 from repro.observability import EdgeMonitor, FleetMonitor
 
 __all__ = ["ServeResult", "FleetServeReport", "ServingEngine"]
@@ -238,42 +235,23 @@ class ServingEngine:
     def serve_batch(self, device_id: str, model_name: str, x: np.ndarray, bits: int = 32) -> ServeResult:
         """Serve one window of ``x.shape[0]`` queries on a device, batched.
 
-        Admission is a two-stage prefix filter identical to the per-query
-        loop: quota grants the first ``granted`` queries (consuming quota
-        even for queries that later fail on battery, since metering happens
-        before execution), then the battery covers the first ``served`` of
-        those.  Only the served slice reaches the drift monitor.
+        The window transaction on a one-device window, with the per-device
+        kernels (``_serve_fleet_window(per_device=True)``).  Admission is a
+        two-stage prefix filter identical to the per-query loop: quota
+        grants the first ``granted`` queries (consuming quota even for
+        queries that later fail on battery, since metering happens before
+        execution), then the battery covers the first ``served`` of those.
+        Only the served slice reaches the drift monitor.  An empty window
+        serves nothing; an unknown model or device raises ``KeyError``.
         """
-        device = self.fleet.get(device_id)
-        model = self.models[model_name]
-        ledger = self.ledgers.get(device_id)
+        report = FleetServeReport(model_name=model_name)
+        results = self._serve_fleet_window(model_name, {device_id: x}, report, bits, per_device=True)
+        if results:
+            return results[0]
+        self.fleet.get(device_id)  # an empty window still names a known device
         monitor = self.monitors.get(device_id)
-        n = int(x.shape[0])
-        cost = self.cost_model.model_inference_cost(device.profile, model, bits=bits)
-
-        granted = ledger.record_batch(model_name, n) if ledger is not None else n
-        served = device.execute_batch(cost, granted, record=False)
-        denied = n - granted
-        battery_failures = granted - served
-
-        if monitor is not None and served:
-            preds = self._predict_classes(model_name, x[:served])
-            monitor.observe_window(
-                x[:served],
-                predictions=preds,
-                latencies=np.full(served, cost.latency_s),
-                energies=np.full(served, cost.energy_j),
-                memories=np.full(served, cost.peak_memory_bytes),
-            )
-        return ServeResult(
-            device_id=device_id,
-            model_name=model_name,
-            requested=n,
-            served=served,
-            denied_quota=denied,
-            battery_failures=battery_failures,
-            drift_detected=bool(monitor.any_drift()) if monitor is not None else False,
-        )
+        drift = bool(monitor.any_drift()) if monitor is not None else False
+        return ServeResult(device_id, model_name, 0, 0, 0, 0, drift)
 
     # ------------------------------------------------------------------
     def serve_batch_legacy(self, device_id: str, model_name: str, x: np.ndarray, bits: int = 32) -> ServeResult:
@@ -342,31 +320,36 @@ class ServingEngine:
         return cached[1]
 
     def _serve_fleet_window(
-        self, model_name: str, window: Mapping[str, np.ndarray], report: FleetServeReport, bits: int
+        self,
+        model_name: str,
+        window: Mapping[str, np.ndarray],
+        report: FleetServeReport,
+        bits: int,
+        per_device: bool = False,
     ) -> List[ServeResult]:
-        """Serve one fleet-wide window with one battery + prediction + drift sweep.
+        """Serve one fleet-wide window: meter, admit, predict, monitor.
 
-        Admission (quota then battery) is the same two-stage prefix filter
-        :meth:`serve_batch` applies.  Quota metering stays a per-device loop
-        in window order (each ledger's MAC chain is sequential), but battery
-        admission for every device in the window is one
-        :meth:`~repro.devices.FleetState.draw_batch_rows` sweep over the
-        fleet's columnar store — the per-row arithmetic is exactly
-        :meth:`~repro.devices.Battery.draw_batch`, so admission decisions
-        and resulting battery levels match the object loop bit for bit.
-        Inference costs are cached per (model, profile, bits) and resolved
-        once per distinct profile code after the metering loop: a window
-        over 10k devices of 6 profiles looks up 6 costs, not 10k.  The served
-        slices of every monitored device then flow through one compiled-plan
-        ``run_many`` sweep (the plan falls back to per-window execution
-        internally when its kernels are not stacking-exact) and one
-        :meth:`FleetMonitor.observe_fleet` drift sweep.  Without a compiled
-        plan predictions stay per-device, preserving the oracle's per-window
-        ``nn`` forwards.
+        The one serving transaction.  Quota metering is a per-device loop
+        in window order (each ledger's MAC chain is sequential) and admits a
+        prefix of each device's window; the battery then covers a prefix of
+        the granted queries, and only the served slice of a monitored
+        device is predicted and observed.  One :class:`ServeResult` per
+        non-empty device window is added to ``report`` in window order.
+
+        By default the other stages are fleet sweeps: costs cached per
+        (model, profile, bits) and resolved once per distinct profile code,
+        one :meth:`~repro.devices.FleetState.draw_batch_rows` battery sweep
+        (per row exactly :meth:`~repro.devices.Battery.draw_batch`), one
+        compiled-plan ``run_many`` (per-device ``nn`` forwards without a
+        plan) and one :meth:`FleetMonitor.observe_fleet`.  ``per_device``
+        (the twin of ``FederatedEngine._collect_deltas(per_client=...)``)
+        swaps only those kernels for one ``model_inference_cost``,
+        :meth:`~repro.devices.EdgeDevice.execute_batch`,
+        :meth:`_predict_classes` and :meth:`EdgeMonitor.observe_window` per
+        device; the outcome is identical.
         """
         model = self.models[model_name]
         plan = self.plans.get(model_name)
-        state = self.fleet.state
         row_of, ledgers = self.fleet.row_of, self.ledgers
         # Parallel lists: device_id, row, window, requested, granted.
         ids: List[str] = []
@@ -387,30 +370,33 @@ class ServingEngine:
             ns.append(n)
         if not ids:
             return []
-        row_arr = np.asarray(rows, dtype=np.intp)
-        # One cost per distinct profile code in the window, not per device.
-        codes, inverse = np.unique(state.profile_idx[row_arr], return_inverse=True)
-        costs_by_profile = self._window_costs(model_name, model)
-        code_costs = []
-        for code in codes.tolist():
-            profile = state.profile_table[code]
-            cost = costs_by_profile.get((profile, bits))
-            if cost is None:
-                cost = self.cost_model.model_inference_cost(profile, model, bits=bits)
-                costs_by_profile[(profile, bits)] = cost
-            code_costs.append(cost)
-        costs = [code_costs[i] for i in inverse.tolist()]
-        served_arr = state.draw_batch_rows(
-            row_arr,
-            np.array([c.energy_j for c in code_costs], dtype=np.float64)[inverse],
-            np.asarray(granteds, dtype=np.int64),
-        )
-        state.query_count[row_arr] += served_arr
-        admitted = [
-            (device_id, x, n, cost, granted, int(served))
-            for device_id, x, n, cost, granted, served in zip(ids, xs, ns, costs, granteds, served_arr)
-        ]
-        # One prediction sweep over every monitored device's served slice.
+        if per_device:
+            devices = [self.fleet.get(device_id) for device_id in ids]
+            costs = [self.cost_model.model_inference_cost(d.profile, model, bits=bits) for d in devices]
+            serveds = [d.execute_batch(c, g, record=False) for d, c, g in zip(devices, costs, granteds)]
+        else:
+            state = self.fleet.state
+            row_arr = np.asarray(rows, dtype=np.intp)
+            # One cost per distinct profile code in the window, not per device.
+            codes, inverse = np.unique(state.profile_idx[row_arr], return_inverse=True)
+            costs_by_profile = self._window_costs(model_name, model)
+            code_costs = []
+            for code in codes.tolist():
+                profile = state.profile_table[code]
+                cost = costs_by_profile.get((profile, bits))
+                if cost is None:
+                    cost = self.cost_model.model_inference_cost(profile, model, bits=bits)
+                    costs_by_profile[(profile, bits)] = cost
+                code_costs.append(cost)
+            costs = [code_costs[i] for i in inverse.tolist()]
+            served_arr = state.draw_batch_rows(
+                row_arr,
+                np.array([c.energy_j for c in code_costs], dtype=np.float64)[inverse],
+                np.asarray(granteds, dtype=np.int64),
+            )
+            state.query_count[row_arr] += served_arr
+            serveds = served_arr.tolist()
+        admitted = list(zip(ids, xs, ns, costs, granteds, serveds))
         monitored = [
             (device_id, x[:served], cost, served)
             for device_id, x, n, cost, granted, served in admitted
@@ -418,18 +404,21 @@ class ServingEngine:
         ]
         if monitored:
             slices = [s for _, s, _, _ in monitored]
-            if plan is not None:
-                outputs = plan.run_many(slices)
-                preds = [out.argmax(axis=-1) for out in outputs]
+            if plan is None or per_device:
+                preds = [self._predict_classes(model_name, s) for s in slices]
             else:
-                preds = [self.models[model_name].predict_classes(s) for s in slices]
-            self._fleet_monitor().observe_fleet(
-                {device_id: s for device_id, s, _, _ in monitored},
+                preds = [out.argmax(axis=-1) for out in plan.run_many(slices)]
+            telemetry = dict(
                 predictions={device_id: p for (device_id, _, _, _), p in zip(monitored, preds)},
                 latencies={device_id: np.full(served, cost.latency_s) for device_id, _, cost, served in monitored},
                 energies={device_id: np.full(served, cost.energy_j) for device_id, _, cost, served in monitored},
                 memories={device_id: np.full(served, cost.peak_memory_bytes) for device_id, _, cost, served in monitored},
             )
+            if per_device:
+                for device_id, s, _, _ in monitored:
+                    self.monitors[device_id].observe_window(s, **{k: v[device_id] for k, v in telemetry.items()})
+            else:
+                self._fleet_monitor().observe_fleet({device_id: s for device_id, s, _, _ in monitored}, **telemetry)
         results: List[ServeResult] = []
         for device_id, x, n, cost, granted, served in admitted:
             monitor = self.monitors.get(device_id)
@@ -460,12 +449,13 @@ class ServingEngine:
         output of a :mod:`repro.core.traffic` generator.  Devices mapped to
         empty arrays are skipped.
 
-        With ``engine="batched"`` (the default) each window is served by
-        :meth:`_serve_fleet_window` — one columnar battery-admission sweep,
-        one compiled-plan sweep and one fleet drift sweep per
-        (model, window).  ``engine="oracle"`` keeps the per-device
-        :meth:`serve_batch` loop as the reference; both paths produce
-        identical reports, ledger/battery state and monitor histories.
+        Every window is one :meth:`_serve_fleet_window` transaction.  With
+        ``engine="batched"`` (the default) its kernels are fleet sweeps —
+        one columnar battery-admission sweep, one compiled-plan sweep and
+        one fleet drift sweep per (model, window).  ``engine="oracle"``
+        runs the same transaction with the per-device reference kernels
+        (``per_device=True``); both produce identical reports,
+        ledger/battery state and monitor histories.
         ``engine="sharded"`` partitions each window across ``workers``
         processes (a :class:`~repro.runtime.sharded.ShardedFleetRunner`;
         assign :attr:`shard_runner` to customize backend/timeouts and to
@@ -502,14 +492,8 @@ class ServingEngine:
                             report.add_network_failure(device_id, n)
                 if runner is not None:
                     runner.serve_window(self, model_name, window, report, bits=32)
-                elif engine == ENGINE_BATCHED:
-                    self._serve_fleet_window(model_name, window, report, bits=32)
                 else:
-                    for device_id, x in window.items():
-                        x = np.asarray(x)
-                        if x.shape[0] == 0:
-                            continue
-                        report.add(self.serve_batch(device_id, model_name, x))
+                    self._serve_fleet_window(model_name, window, report, 32, per_device=engine == ENGINE_ORACLE)
         finally:
             if runner is not None and runner is not self.shard_runner:
                 runner.close()  # a runner built for this call owns processes

@@ -82,12 +82,6 @@ class Battery:
             return PowerState.LOW_POWER
         return PowerState.ON_BATTERY
 
-    def can_supply(self, energy_j: float) -> bool:
-        """Whether the requested energy can be drawn without depleting."""
-        if self.plugged_in or self.capacity_j == float("inf"):
-            return True
-        return self.level_j >= energy_j
-
     # -- mutations ---------------------------------------------------------
     def draw(self, energy_j: float) -> bool:
         """Consume ``energy_j``; returns False (and drains to 0) if depleted."""

@@ -99,11 +99,5 @@ class EventQueue:
             self.now = until
         return processed
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next pending event, if any."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
-
     def __len__(self) -> int:
         return sum(1 for e in self._heap if not e.cancelled)

@@ -1,14 +1,18 @@
 """Engine-dispatch convention shared by every dual-path surface.
 
-The platform keeps two implementations of each hot path: the vectorized
-production path and the scalar predecessor, preserved as the differential
-oracle (standing invariant in ROADMAP.md).  Every dual-path entry point
+The platform keeps two kernels for each hot stage: the vectorized
+production kernel and the scalar predecessor, preserved as the differential
+oracle (standing invariant in ROADMAP.md).  Where a surface has one
+transaction around those stages — a served window
+(``ServingEngine._serve_fleet_window(per_device=...)``), a federated round
+(``FederatedEngine._collect_deltas(per_client=...)``) — the oracle swaps
+only the kernels, never the control flow.  Every dual-path entry point
 accepts one toggle:
 
 ``engine="batched"``
-    the vectorized path (default everywhere);
+    the vectorized kernels (default everywhere);
 ``engine="oracle"``
-    the scalar reference path.
+    the scalar reference kernels.
 
 Fleet-scale surfaces that can distribute work over a
 :class:`~repro.runtime.sharded.ShardedFleetRunner` additionally accept

@@ -116,10 +116,6 @@ class GraphExecutor:
         self._quantized_params[node.name] = quantized
         return quantized
 
-    def invalidate_cache(self) -> None:
-        """Drop cached quantized weights (call after editing node params)."""
-        self._quantized_params.clear()
-
     # -- execution ----------------------------------------------------------
     def run(self, x: np.ndarray, collect_activations: bool = False) -> np.ndarray | Tuple[np.ndarray, List[np.ndarray]]:
         """Run the graph on a batch; optionally return every intermediate."""

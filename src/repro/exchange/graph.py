@@ -116,13 +116,6 @@ class GraphIR:
         """Operator types in execution order."""
         return [n.op_type for n in self.nodes]
 
-    def find(self, name: str) -> GraphNode:
-        """Node by name."""
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise KeyError(f"no node named {name!r}")
-
     def __iter__(self) -> Iterator[GraphNode]:
         return iter(self.nodes)
 

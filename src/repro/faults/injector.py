@@ -231,6 +231,11 @@ class FaultInjector:
         """Per-attempt outcome codes for one client's delta uplink."""
         return self._deliveries.get((int(round_index), client_id), ())
 
+    def deliver(self, round_index: int, client_id: str, row: int) -> DeliveryResult:
+        """Replay one client's delta uplink (contributor ``row``) under the retry policy."""
+        outcomes = self.delivery_outcomes(round_index, client_id)
+        return simulate_delivery(outcomes, self.retry_policy, seed=[self.plan.seed, round_index, row])
+
     def interrupt_after(self, round_index: int) -> Optional[int]:
         """Cohort count after which the coordinator crashes (or None).
 

@@ -79,10 +79,8 @@ from repro.dispatch import ENGINE_ORACLE, ENGINE_SHARDED, resolve_engine
 from repro.faults import (
     CheckpointStore,
     FaultInjector,
-    RetryPolicy,
     RoundCheckpoint,
     RoundInterrupted,
-    simulate_delivery,
 )
 from repro.nn import activations as A
 from repro.nn.layers import Dense, Dropout, Layer
@@ -885,8 +883,9 @@ class FederatedEngine:
         Optional :class:`repro.faults.FaultInjector` replaying a seeded
         :class:`~repro.faults.FaultPlan` against the round loop: client
         crashes, lossy/corrupted/duplicated delta deliveries (retried
-        under ``retry_policy``) and coordinator interrupts.  ``None`` (and
-        an empty plan) keep every path byte-identical to the plain engine.
+        under the :class:`~repro.faults.RetryPolicy` the injector carries)
+        and coordinator interrupts.  ``None`` (and an empty plan) keep every
+        path byte-identical to the plain engine.
     quorum:
         Optional commit fraction in ``(0, 1]``: a round merges iff at
         least ``ceil(quorum * n_selected)`` deltas are delivered,
@@ -902,9 +901,6 @@ class FederatedEngine:
         both modes — robust aggregation stays the aggregator's job — so
         a verified-mode round that meets quorum commits byte-identically
         to legacy mode; only the abort decision differs.
-    retry_policy:
-        The :class:`repro.faults.RetryPolicy` governing delta-delivery
-        retries (defaults to ``RetryPolicy()`` when an injector is set).
     checkpoints:
         Optional :class:`repro.faults.CheckpointStore` (files in a dict)
         or :class:`repro.faults.DurableCheckpointStore` (the same store,
@@ -929,7 +925,6 @@ class FederatedEngine:
         fault_injector: Optional[FaultInjector] = None,
         quorum: Optional[float] = None,
         quorum_mode: str = "delivered",
-        retry_policy: Optional[RetryPolicy] = None,
         checkpoints: Optional[CheckpointStore] = None,
     ) -> None:
         if not clients:
@@ -953,7 +948,6 @@ class FederatedEngine:
         self.fault_injector = fault_injector
         self.quorum = None if quorum is None else float(quorum)
         self.quorum_mode = quorum_mode
-        self.retry_policy = retry_policy
         self.checkpoints = checkpoints
         self.history: List[RoundResult] = []
         self._model_bytes = self.global_model.get_flat_weights().size * 4
@@ -1139,15 +1133,11 @@ class FederatedEngine:
             if crashed:
                 plan.contributors = [cid for cid in plan.contributors if cid not in crashed]
                 plan.n_crashes = len(crashed)
-            policy = self.retry_policy or inj.retry_policy
             delivered_rows: List[int] = []
             tx_counts: List[int] = []
             corrupt_rows: List[int] = []
             for row, cid in enumerate(plan.contributors):
-                outcomes = inj.delivery_outcomes(round_index, cid)
-                verdict = simulate_delivery(
-                    outcomes, policy, seed=[inj.plan.seed, round_index, row]
-                )
+                verdict = inj.deliver(round_index, cid, row)
                 tx_counts.append(verdict.transmissions)
                 plan.n_retransmits += verdict.retransmits
                 plan.n_duplicates += verdict.duplicates

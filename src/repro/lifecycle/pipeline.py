@@ -371,6 +371,14 @@ class LifecyclePipeline:
     config / gates / metric_probes:
         See :class:`LifecycleConfig`, :func:`default_gates` and the module
         docstring's gate-metric recipe.
+    fault_injector / quorum:
+        Passed to the retraining engine (:mod:`repro.faults`); the
+        injector carries its own retry policy.
+    state_dir:
+        Makes the pipeline durable: decisions and promotion audits persist
+        to this directory, and a pipeline rebuilt over it resumes its
+        cycle counter and history
+        (:class:`repro.faults.durable.DurableDecisionLog`).
     """
 
     def __init__(
@@ -384,9 +392,6 @@ class LifecyclePipeline:
         metric_probes: Optional[Mapping[str, Callable]] = None,
         fault_injector=None,
         quorum: Optional[float] = None,
-        quorum_mode: str = "delivered",
-        retry_policy=None,
-        checkpoints=None,
         state_dir: Optional[str] = None,
     ) -> None:
         self.platform = platform
@@ -397,14 +402,11 @@ class LifecyclePipeline:
         self.gates: List[GateCheck] = list(gates) if gates is not None else default_gates()
         self.metric_probes: Dict[str, Callable] = dict(metric_probes or {})
         # repro.faults passthrough: retraining rounds run under this fault
-        # plan / quorum / retry policy (None keeps the plain engine).  An
+        # plan and quorum (None keeps the plain engine).  An
         # aborted retraining round is surfaced in the decision record's
         # ``training`` dict so a degraded cycle is operator-visible.
         self.fault_injector = fault_injector
         self.quorum = quorum
-        self.quorum_mode = quorum_mode
-        self.retry_policy = retry_policy
-        self.checkpoints = checkpoints
         self.history: List[LifecycleDecision] = []
         self._drift_cursors: Dict[str, int] = {}
         self._ticks = 0
@@ -500,9 +502,6 @@ class LifecyclePipeline:
                 train_in_place=False,
                 fault_injector=self.fault_injector,
                 quorum=self.quorum,
-                quorum_mode=self.quorum_mode,
-                retry_policy=self.retry_policy,
-                checkpoints=self.checkpoints,
             )
             rounds = engine.run(self.config.rounds)
             candidate_model = engine.global_model

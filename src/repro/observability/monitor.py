@@ -410,15 +410,6 @@ class AlertEngine:
         self.alerts.extend(raised)
         return raised
 
-    def alerts_since(self, cursor: int = 0) -> Tuple[List[Alert], int]:
-        """Alerts raised at or after ``cursor``, plus the new cursor.
-
-        Cursor-based consumption (see :meth:`EdgeMonitor.drift_events_since`)
-        so lifecycle automation can react to each alert exactly once.
-        """
-        cursor = max(0, int(cursor))
-        return list(self.alerts[cursor:]), len(self.alerts)
-
     @classmethod
     def default_rules(cls, latency_budget_s: float = 0.1, drift_rate_threshold: float = 0.2) -> "AlertEngine":
         """A sensible default rule set for the examples and benchmarks."""

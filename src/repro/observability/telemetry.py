@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sketches import CountMinSketch, P2Quantile, ReservoirSample, RunningMoments, StreamingHistogram
+from .sketches import CountMinSketch, P2Quantile, ReservoirSample, RunningMoments
 
 
 def _device_seed(device_id: str) -> int:

@@ -14,7 +14,6 @@ from .encryption import (
     IntegrityError,
     ModelKeyManager,
     decrypt_blob,
-    decryption_overhead_factor,
     encrypt_blob,
 )
 from .extraction import ExtractionResult, QueryBasedExtractor, direct_theft
@@ -33,7 +32,6 @@ __all__ = [
     "EncryptedBlob",
     "encrypt_blob",
     "decrypt_blob",
-    "decryption_overhead_factor",
     "ModelKeyManager",
     "IntegrityError",
     "ExtractionResult",

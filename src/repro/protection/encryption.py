@@ -96,9 +96,6 @@ class ModelKeyManager:
         """Stop issuing keys to a device (e.g. after detected tampering)."""
         self._revoked.add(device_id)
 
-    def is_revoked(self, device_id: str) -> bool:
-        return device_id in self._revoked
-
     def wrap_model(self, model_bytes: bytes, model_name: str, device_id: str, nonce: Optional[bytes] = None) -> EncryptedBlob:
         """Encrypt a model artifact for a specific device."""
         return encrypt_blob(model_bytes, self.device_key(model_name, device_id), nonce=nonce)
@@ -106,13 +103,3 @@ class ModelKeyManager:
     def unwrap_model(self, blob: EncryptedBlob, model_name: str, device_id: str) -> bytes:
         """Decrypt a model artifact on the device (integrity-checked)."""
         return decrypt_blob(blob, self.device_key(model_name, device_id))
-
-
-def decryption_overhead_factor(model_bytes: int, device_peak_flops: float, bytes_per_second_crypto: float = 5e7) -> float:
-    """Rough latency overhead of decrypt-before-use relative to inference.
-
-    The paper notes that encrypted models cost extra compute at load time;
-    this helper converts blob size and an assumed software-crypto throughput
-    into seconds, which experiments compare against inference latency.
-    """
-    return model_bytes / bytes_per_second_crypto

@@ -41,11 +41,6 @@ class ExtractionResult:
     victim_accuracy: float
     queries: np.ndarray = field(repr=False, default=None)
 
-    def fidelity_gap(self) -> float:
-        """Accuracy gap between victim and stolen surrogate (smaller = worse theft)."""
-        return self.victim_accuracy - self.surrogate_accuracy
-
-
 def direct_theft(victim: Sequential, encrypted: bool) -> Optional[Sequential]:
     """Direct model stealing: copy the weights if they are stored in the clear.
 

@@ -80,10 +80,6 @@ class TriggerManager:
         """Run ``pipeline`` whenever a new base version of ``model_name`` lands."""
         self._subscriptions.setdefault(model_name, []).append(pipeline)
 
-    def pipelines_for(self, model_name: str) -> List[OptimizationPipeline]:
-        """Pipelines currently subscribed to a model."""
-        return list(self._subscriptions.get(model_name, []))
-
     def on_base_registered(self, base_version: ModelVersion) -> List[ModelVersion]:
         """Execute all subscribed pipelines against a freshly registered base.
 

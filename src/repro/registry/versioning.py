@@ -116,10 +116,6 @@ class ModelRegistry:
         """Register a :class:`repro.nn.Sequential` (serialized with ``to_bytes``)."""
         return self.register(model_name or model.name, model.to_bytes(), kind=kind, parents=parents, tags=tags)
 
-    def register_graph(self, graph, kind: str = "base", parents: Sequence[str] = (), tags: Optional[Dict[str, object]] = None, model_name: Optional[str] = None) -> ModelVersion:
-        """Register a :class:`repro.exchange.GraphIR` artifact."""
-        return self.register(model_name or graph.name, graph.to_bytes(), kind=kind, parents=parents, tags=tags)
-
     # ------------------------------------------------------------------
     # retrieval / queries
     # ------------------------------------------------------------------
@@ -138,12 +134,6 @@ class ModelRegistry:
         from repro.nn.model import Sequential
 
         return Sequential.from_bytes(self.load_bytes(version_id))
-
-    def load_graph(self, version_id: str):
-        """Deserialize a registered GraphIR artifact."""
-        from repro.exchange.graph import GraphIR
-
-        return GraphIR.from_bytes(self.load_bytes(version_id))
 
     def versions_of(self, model_name: str, kind: Optional[str] = None) -> List[ModelVersion]:
         """All versions of a logical model, oldest first."""

@@ -45,3 +45,22 @@ def trained_cnn(digits):
 def rng():
     """A deterministic random generator for per-test noise."""
     return np.random.default_rng(123)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """``(count, calls)``: ``count(owner, name)`` wraps ``owner.name`` so
+    that ``calls[name]`` counts its invocations."""
+    calls = {}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        calls[name] = 0
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    return count, calls

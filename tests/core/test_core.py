@@ -198,3 +198,32 @@ class TestPlatformEndToEnd:
         summary = platform.summary()
         assert set(summary) == {"fleet", "registry", "billing", "telemetry", "events"}
         assert summary["events"] >= 3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "fleet_health never reports failed_inference_fraction (ROADMAP slice "
+        "8f): AlertEngine.default_rules() fires battery_failures on that "
+        "metric, so a fleet whose every query failed on battery raises no alert"
+    ),
+)
+def test_drained_fleet_raises_battery_failures_alert():
+    """Pinned, not fixed: supplying the metric changes what fleet_health reports."""
+    from repro.devices import Battery, EdgeDevice
+
+    ds = make_gaussian_blobs(400, 12, 4, seed=11)
+    train, test = ds.split(0.3, seed=11)
+    fleet = Fleet([EdgeDevice(f"dev-{i}", get_profile("phone-mid"), battery=Battery(capacity_j=50.0), seed=i) for i in range(12)])
+    platform = TinyMLOpsPlatform(fleet, PlatformConfig(bit_widths=(8,), sparsities=(0.5,), seed=11))
+    model = make_mlp(12, 4, hidden=(16,), seed=11, name="m")
+    model.fit(train.x, train.y, epochs=2, lr=0.01, seed=11)
+    platform.release(model, test.x, test.y)
+    ref = train.x[:50]
+    platform.deploy("m", reference_x=ref, reference_predictions=model.predict_classes(ref), num_classes=4, prepaid_queries=100)
+    for device in fleet:
+        device.battery.level_j = 0.0
+    report = platform.serve_fleet("m", {device.device_id: test.x[:20] for device in fleet})
+    assert report.requested == report.battery_failures == 240
+    assert all(platform.sync_device(device.device_id)["synced"] for device in fleet)
+    assert "battery_failures" in platform.fleet_health()["alerts"]

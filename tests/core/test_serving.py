@@ -17,9 +17,10 @@ from repro.core import (
     make_scenario,
 )
 from repro.data import make_gaussian_blobs
-from repro.devices import Battery, CostModel, EdgeDevice, ExecutionCost, Fleet, get_profile
+from repro.devices import Battery, CostModel, EdgeDevice, ExecutionCost, Fleet, FleetState, get_profile
+from repro.exchange import CompiledExecutor
 from repro.nn import make_mlp
-from repro.observability import EdgeMonitor
+from repro.observability import EdgeMonitor, FleetMonitor
 
 
 class FixedCostModel(CostModel):
@@ -167,6 +168,11 @@ class TestServeBatchEquivalence:
         result = engine.serve_batch("dev-0", "m", queries(0))
         assert result.served == 0 and result.denied_quota == 0
         assert ledger.used("m") == 0
+
+    def test_empty_window_on_unknown_device_raises(self):
+        engine, _, _, _ = make_world()
+        with pytest.raises(KeyError):
+            engine.serve_batch("ghost", "m", queries(0))
 
 
 class TestServeFleet:
@@ -481,3 +487,46 @@ class TestFleetSweep:
         del engine.monitors["dev-1"]
         report = engine.serve_fleet("m", fleet_windows(3, n_windows=1))
         assert report.per_device["dev-1"]["served"] > 0
+
+
+SERVING_KERNELS = (
+    (EdgeMonitor, "observe_window"),
+    (EdgeDevice, "execute_batch"),
+    (FleetMonitor, "observe_fleet"),
+    (FleetState, "draw_batch_rows"),
+    (CompiledExecutor, "run_many"),
+)
+
+
+class TestServingKernels:
+    """engine="oracle" and serve_batch share the window transaction with
+    engine="batched" but no kernel: the guard against the oracle quietly
+    merging into the batched path and every differential suite above going
+    vacuous."""
+
+    def test_each_engine_runs_only_its_own_kernels(self, counted):
+        count, calls = counted
+        for owner, name in SERVING_KERNELS:
+            count(owner, name)
+        for engine in ("oracle", "batched"):
+            eng, _, _ = make_fleet_world()
+            del eng.monitors["dev-5"]  # unmonitored: admitted, never observed
+            for window in fleet_windows(6):
+                calls.update(dict.fromkeys(calls, 0))
+                eng.serve_fleet("m", window, engine=engine)
+                if engine == "oracle":
+                    assert calls == {"observe_window": 5, "execute_batch": 6, "observe_fleet": 0,
+                                     "draw_batch_rows": 0, "run_many": 0}
+                else:
+                    assert calls == {"observe_window": 0, "execute_batch": 0, "observe_fleet": 1,
+                                     "draw_batch_rows": 1, "run_many": 1}
+
+    def test_serve_batch_runs_the_per_device_kernels(self, counted):
+        count, calls = counted
+        for owner, name in SERVING_KERNELS:
+            count(owner, name)
+        eng, _, _ = make_fleet_world()
+        result = eng.serve_batch("dev-0", "m", queries(30))
+        assert result.served == 30
+        assert calls == {"observe_window": 1, "execute_batch": 1, "observe_fleet": 0,
+                         "draw_batch_rows": 0, "run_many": 0}

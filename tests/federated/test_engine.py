@@ -31,25 +31,6 @@ def task():
     return train, test
 
 
-@pytest.fixture
-def counted(monkeypatch):
-    """``(count, calls)``: ``count(owner, name)`` wraps ``owner.name`` so
-    that ``calls[name]`` counts its invocations."""
-    calls = {}
-
-    def count(owner, name):
-        real = getattr(owner, name)
-        calls[name] = 0
-
-        def counting(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counting)
-
-    return count, calls
-
-
 def _clients(train, n=8, **kwargs):
     parts = partition_dirichlet(train, n, alpha=0.5, seed=5)
     defaults = dict(local_epochs=2, lr=0.05, batch_size=32)
