@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.observability.drift as drift_module
 from repro.data import DriftingStream, DriftSpec, make_gaussian_blobs
 from repro.observability import (
     EdgeMonitor,
@@ -49,7 +50,7 @@ from test_sketch_kernels import (  # noqa: E402
     parent_recorder,
     recorder_state,
 )
-from test_ks_kernel import parent_ks_columns  # noqa: E402
+from test_ks_kernel import parent_ks_columns, scipy_ks_statistic  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -145,15 +146,21 @@ def _fleet_traffic(n_devices, n_windows, window, n_features, seed=0):
     return traffic
 
 
-def test_e4_batched_monitoring_speedup(benchmark, smoke_mode):
+def test_e4_batched_monitoring_speedup(benchmark, smoke_mode, monkeypatch):
     """One-sweep fleet monitoring vs per-device/per-column (>=10x guardrail).
 
     Two identical 100-device fleets observe the same traffic: one through
     FleetMonitor's stacked vectorized sweep, one through the seed-era loop —
     per device, per window, one scipy ks_2samp + two np.histogram calls per
-    feature column.  Drift decisions and statistics must agree (allclose;
-    they are bit-identical in practice) and telemetry payloads must be
-    byte-equal, while the sweep is at least an order of magnitude faster.
+    feature column.  ``src/`` no longer calls scipy, so the seed-era side
+    runs the oracle detectors with ``drift.ks_statistic`` swapped for the
+    seed-era function (``scipy_ks_statistic``, kept in
+    ``tests/observability/test_ks_kernel.py``).  A third fleet runs the
+    oracle detectors as they are, with the NumPy ``ks_statistic``; its
+    ratio is reported as ``speedup_vs_numpy_oracle`` and not gated.  Drift
+    decisions and statistics must agree (allclose; they are bit-identical in
+    practice) and telemetry payloads must be byte-equal, while the sweep is
+    at least an order of magnitude faster than the seed-era loop.
     """
     n_devices = 100
     n_windows = 2 if smoke_mode else 4
@@ -164,56 +171,69 @@ def test_e4_batched_monitoring_speedup(benchmark, smoke_mode):
     ref_preds = rng.integers(0, 4, len(reference))
     traffic = _fleet_traffic(n_devices, n_windows, window, n_features)
 
+    def observe_per_device(monitors, windows, preds, lats=None):
+        for device_id, x in windows.items():
+            monitors[device_id].observe_window(
+                x, predictions=preds[device_id], latencies=None if lats is None else lats[device_id]
+            )
+
+    def time_per_device(monitors):
+        t0 = time.perf_counter()
+        for windows, preds, lats in traffic:
+            observe_per_device(monitors, windows, preds, lats)
+        return time.perf_counter() - t0
+
     def scenario():
-        # Warm both paths so one-time costs (reference sorting, imports)
-        # don't skew the ratio.
-        warm_traffic = _fleet_traffic(4, 1, 8, n_features, seed=9)
-        for eng in ("batched", "oracle"):
-            warm = _monitor_fleet(reference, ref_preds, 4, eng)
-            if eng == "batched":
-                FleetMonitor(warm).observe_fleet(*warm_traffic[0][:1], predictions=warm_traffic[0][1])
-            else:
-                for d, x in warm_traffic[0][0].items():
-                    warm[d].observe_window(x, predictions=warm_traffic[0][1][d])
+        # Warm every path so one-time costs (reference sorting, imports)
+        # don't skew the ratios.
+        warm_windows, warm_preds, _ = _fleet_traffic(4, 1, 8, n_features, seed=9)[0]
+        FleetMonitor(_monitor_fleet(reference, ref_preds, 4, "batched")).observe_fleet(
+            warm_windows, predictions=warm_preds
+        )
+        observe_per_device(_monitor_fleet(reference, ref_preds, 4, "oracle"), warm_windows, warm_preds)
+        with monkeypatch.context() as patch:
+            patch.setattr(drift_module, "ks_statistic", scipy_ks_statistic)
+            observe_per_device(_monitor_fleet(reference, ref_preds, 4, "oracle"), warm_windows, warm_preds)
 
         fleet_side = _monitor_fleet(reference, ref_preds, n_devices, engine="batched")
         legacy_side = _monitor_fleet(reference, ref_preds, n_devices, engine="oracle")
+        numpy_side = _monitor_fleet(reference, ref_preds, n_devices, engine="oracle")
         fm = FleetMonitor(fleet_side)
         t0 = time.perf_counter()
         for windows, preds, lats in traffic:
             fm.observe_fleet(windows, predictions=preds, latencies=lats)
         t_batched = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for windows, preds, lats in traffic:
-            for device_id, x in windows.items():
-                legacy_side[device_id].observe_window(
-                    x, predictions=preds[device_id], latencies=lats[device_id]
-                )
-        t_legacy = time.perf_counter() - t0
+        with monkeypatch.context() as patch:
+            patch.setattr(drift_module, "ks_statistic", scipy_ks_statistic)
+            t_legacy = time_per_device(legacy_side)
+        t_numpy = time_per_device(numpy_side)
 
         identical_decisions = True
         stats_close = True
         telemetry_equal = True
         n_drifted = 0
         for device_id in fleet_side:
-            a, b = fleet_side[device_id], legacy_side[device_id]
-            identical_decisions &= a.drift_events == b.drift_events
+            a = fleet_side[device_id]
             n_drifted += bool(a.any_drift())
-            for name in a.detectors:
-                ha = a.detectors[name].history
-                hb = b.detectors[name].history
-                identical_decisions &= [r.drifted for r in ha] == [r.drifted for r in hb]
-                stats_close &= bool(
-                    np.allclose([r.statistic for r in ha], [r.statistic for r in hb], atol=1e-12)
-                )
-            telemetry_equal &= a.build_report().as_dict() == b.build_report().as_dict()
+            for b in (legacy_side[device_id], numpy_side[device_id]):
+                identical_decisions &= a.drift_events == b.drift_events
+                for name in a.detectors:
+                    ha = a.detectors[name].history
+                    hb = b.detectors[name].history
+                    identical_decisions &= [r.drifted for r in ha] == [r.drifted for r in hb]
+                    stats_close &= bool(
+                        np.allclose([r.statistic for r in ha], [r.statistic for r in hb], atol=1e-12)
+                    )
+                telemetry_equal &= a.build_report().as_dict() == b.build_report().as_dict()
         return {
             "n_devices": n_devices,
             "n_windows": n_windows,
             "window": window,
             "batched_s": t_batched,
             "legacy_s": t_legacy,
+            "numpy_oracle_s": t_numpy,
             "speedup": t_legacy / max(t_batched, 1e-12),
+            "speedup_vs_numpy_oracle": t_numpy / max(t_batched, 1e-12),
             "devices_with_drift": n_drifted,
             "identical_decisions": identical_decisions,
             "stats_close": stats_close,

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
-from .metering import LedgerEntry, PricingPlan, QuotaGrant, UsageLedger, entry_payload
+from .metering import PricingPlan, QuotaGrant, UsageLedger, entry_payload
 
 __all__ = ["ReconciliationResult", "BillingBackend"]
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional, Sequence, Tuple
 

@@ -23,13 +23,13 @@ end-to-end workflows a platform user would call:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.billing import BillingBackend, PricingPlan, UsageLedger
-from repro.devices import CostModel, DeviceProfile, EdgeDevice, Fleet, NetworkCondition, get_profile
+from repro.devices import CostModel, DeviceProfile, EdgeDevice, Fleet, NetworkCondition
 from repro.exchange import CompilationError, Compiler, from_sequential
 from repro.federated import (
     EligibilityScheduler,

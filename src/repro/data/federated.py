@@ -8,7 +8,7 @@ These partitioners create the client datasets used by :mod:`repro.federated`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 

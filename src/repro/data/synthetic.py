@@ -14,7 +14,7 @@ integer labels, ready for :class:`repro.nn.Sequential`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

@@ -12,7 +12,7 @@ client scheduling (:mod:`repro.federated.scheduling`) consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["Battery", "PowerState"]

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .battery import Battery, PowerState
 from .cost import CostModel, ExecutionCost
-from .network import ConnectivityTrace, NetworkCondition, NetworkType
+from .network import NetworkCondition, NetworkType
 from .profiles import DeviceProfile, random_fleet_profiles
 from .state import BatteryView, FleetState
 

@@ -18,8 +18,8 @@ is provided along with a generator for randomized fleets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, List, Optional
 
 import numpy as np
 

@@ -7,7 +7,7 @@ search (cumulative cost per prefix of the graph).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 

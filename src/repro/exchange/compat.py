@@ -12,9 +12,7 @@ a smaller variant, offload).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from repro.devices.profiles import DeviceProfile
 

@@ -10,9 +10,7 @@ package and the registry to store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.devices.cost import CostModel, ExecutionCost
 from repro.devices.profiles import DeviceProfile

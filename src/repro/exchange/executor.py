@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.nn import activations as A
-from repro.nn.layers import col2im, im2col
+from repro.nn.layers import im2col
 
 from .graph import GraphIR, GraphNode
 

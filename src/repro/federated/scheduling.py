@@ -9,7 +9,6 @@ idleness) provided by the fleet simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np

@@ -17,7 +17,7 @@ for image-like data and ``(batch, features)`` for dense data.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .layers import BatchNorm, Layer
 from .losses import LossFn, get_loss
-from .metrics import accuracy
 from .optimizers import Optimizer, get_optimizer
 
 __all__ = ["Sequential", "batch_iterator"]

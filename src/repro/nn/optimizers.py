@@ -8,7 +8,7 @@ server-side optimization (FedAdam etc.) in :mod:`repro.federated`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 

@@ -13,11 +13,10 @@ The zoo provides small architectures representative of TinyML workloads:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .layers import (
     Activation,
-    AvgPool2D,
     BatchNorm,
     Conv2D,
     Dense,

@@ -20,8 +20,10 @@ Two scoring paths produce the same statistics:
 
 * The **per-column oracle** (:meth:`StreamingDriftDetector._per_feature_max`)
   runs one :func:`ks_statistic` / :func:`population_stability_index` /
-  :func:`jensen_shannon_divergence` call per feature column — one
-  ``scipy.stats.ks_2samp`` and two ``np.histogram`` calls per column.
+  :func:`jensen_shannon_divergence` call per feature column — one pooled
+  ECDF difference (``scipy.stats.ks_2samp``'s construction in NumPy; its
+  identity with scipy is tested in ``tests/observability/test_ks_kernel.py``)
+  and two ``np.histogram`` calls per column.
 * The **batched path** (:func:`ks_statistic_columns`,
   :func:`population_stability_index_columns`,
   :func:`jensen_shannon_divergence_columns`) scores *all* columns — across
@@ -36,10 +38,9 @@ Two scoring paths produce the same statistics:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.dispatch import ENGINE_BATCHED, resolve_engine
 
@@ -68,13 +69,37 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def ks_statistic(reference: np.ndarray, live: np.ndarray) -> Tuple[float, float]:
-    """Two-sample KS statistic and p-value on 1-D samples."""
-    ref = np.asarray(reference, dtype=np.float64).ravel()
-    cur = np.asarray(live, dtype=np.float64).ravel()
-    if ref.size == 0 or cur.size == 0:
+    """Two-sample KS statistic and asymptotic p-value on 1-D samples.
+
+    ``scipy.stats.ks_2samp``'s statistic, bytes included, built its way: over
+    the pooled sorted samples, ``diff = searchsorted(ref, pooled, "right") / n
+    - searchsorted(live, pooled, "right") / m`` and ``D = max(-min(diff),
+    max(diff))``, ties going to ``max(diff)``.  A NaN in either sample gives
+    ``(nan, nan)`` (scipy's ``nan_policy="propagate"``), an empty one ``(0.0,
+    1.0)``.  The p-value is the Kolmogorov series at ``λ = D·sqrt(nm/(n+m))``.
+    """
+    ref = np.sort(np.asarray(reference, dtype=np.float64).ravel())
+    cur = np.sort(np.asarray(live, dtype=np.float64).ravel())
+    n, m = ref.size, cur.size
+    if n == 0 or m == 0:
         return 0.0, 1.0
-    result = stats.ks_2samp(ref, cur, method="asymp")
-    return float(result.statistic), float(result.pvalue)
+    if np.isnan(ref[-1]) or np.isnan(cur[-1]):  # np.sort puts NaNs last
+        return float("nan"), float("nan")
+    pooled = np.concatenate([ref, cur])
+    diff = np.searchsorted(ref, pooled, side="right") / n - np.searchsorted(cur, pooled, side="right") / m
+    max_s, min_s = float(diff.max()), -float(diff.min())
+    d = min_s if min_s > max_s else max_s
+    return d, _kolmogorov_pvalue(d * np.sqrt(n * m / (n + m)))
+
+
+def _kolmogorov_pvalue(lam: float) -> float:
+    """The Kolmogorov survival function ``2 Σ_{k≥1} (−1)^{k−1} exp(−2k²λ²)``,
+    summed over ``k < 4.5/λ + 1`` (later terms are < 3e-18).  It is 1.0 in double
+    precision below ``λ = 0.17``, where the series would need ever more terms."""
+    if lam < 0.17:
+        return 1.0
+    terms = np.exp(-2.0 * (np.arange(1.0, 4.5 / lam + 1.0) * lam) ** 2)
+    return min(2.0 * float(terms[0::2].sum() - terms[1::2].sum()), 1.0)
 
 
 def _histogram_pair(reference: np.ndarray, live: np.ndarray, bins: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -163,15 +188,16 @@ def ks_statistic_columns(reference_sorted: np.ndarray, live: np.ndarray) -> np.n
     side-by-side into ``C = g * d`` columns and pays the reference-lookup
     cost once per *feature*, not once per (device, feature).
 
-    Bit-identical to ``scipy.stats.ks_2samp(ref, live).statistic`` per
-    column on NaN-free input: both evaluate ``|ECDF_ref - ECDF_live|`` at
-    every sample with the same integer rank counts and the same float
-    divisions.  Instead of sorting the merged sample per column (what scipy
-    does), the live window is sorted once, and the reference ranks come
-    from the *pre-sorted* reference.  Between consecutive live values the
-    live ECDF is constant, so the gap is extremal either **at** a live
-    point or **just below** one, and the gap at the global maximum is
-    always exactly 0 — the ``maximum(..., 0)`` / ``minimum(..., 0)`` terms.
+    Bit-identical to the oracle :func:`ks_statistic` (and so to
+    ``scipy.stats.ks_2samp``) per column on NaN-free input: both evaluate
+    ``|ECDF_ref - ECDF_live|`` at every sample with the same integer rank
+    counts and the same float divisions.  Instead of sorting the merged
+    sample per column (what the oracle does), the live window is sorted
+    once, and the reference ranks come from the *pre-sorted* reference.
+    Between consecutive live values the live ECDF is constant, so the gap is
+    extremal either **at** a live point or **just below** one, and the gap
+    at the global maximum is always exactly 0 — the ``maximum(..., 0)`` /
+    ``minimum(..., 0)`` terms.
 
     *One search per key.*  The live block is sorted feature-major (row
     ``f * g + j`` is device ``j``'s feature ``f``), so each feature's keys

@@ -13,7 +13,7 @@ III-B).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +33,7 @@ from .drift import (
     population_stability_index_columns,
     prediction_js_columns,
 )
-from .telemetry import QueryRecord, TelemetryRecorder, TelemetryReport
+from .telemetry import TelemetryRecorder, TelemetryReport
 
 __all__ = ["EdgeMonitor", "FleetMonitor", "Alert", "AlertRule", "AlertEngine"]
 

@@ -14,7 +14,7 @@ report histograms and counts with plausible deniability:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -19,8 +19,7 @@ arithmetic.  Arrays stay where a call covers a whole batch.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 

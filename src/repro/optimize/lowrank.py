@@ -9,7 +9,7 @@ front explored by :mod:`repro.optimize.pareto`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

@@ -9,8 +9,7 @@ units, producing a genuinely smaller architecture.  Both are implemented on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 

@@ -18,8 +18,7 @@ against this: detecting stealing queries patterns and prediction poisoning."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 

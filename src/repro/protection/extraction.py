@@ -19,7 +19,7 @@ can be evaluated quantitatively (experiment E8).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 

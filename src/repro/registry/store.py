@@ -12,8 +12,8 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, Optional, Tuple
 
 __all__ = ["StoredArtifact", "ArtifactStore"]
 

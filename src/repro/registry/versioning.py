@@ -10,7 +10,7 @@ The :class:`ModelRegistry` implements exactly that:
 * every registered model/graph becomes an immutable :class:`ModelVersion`
   backed by the content-addressed :class:`~repro.registry.store.ArtifactStore`;
 * derivation edges ("quantized-8bit of", "pruned-75% of", "watermarked for
-  user X of", "federated-round-12 of") form a lineage DAG (networkx);
+  user X of", "federated-round-12 of") form a lineage DAG (``parents``);
 * deployment records map fleet devices to the exact version they run;
 * when a base model is re-registered (retrained), the registry reports which
   derived variants are stale and need their optimization pipelines re-run.
@@ -19,13 +19,10 @@ The :class:`ModelRegistry` implements exactly that:
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
-from .store import ArtifactStore, StoredArtifact
+from .store import ArtifactStore
 
 __all__ = ["ModelVersion", "ModelRegistry"]
 
@@ -71,7 +68,6 @@ class ModelRegistry:
     def __init__(self, store: Optional[ArtifactStore] = None) -> None:
         self.store = store or ArtifactStore()
         self.versions: Dict[str, ModelVersion] = {}
-        self.lineage = nx.DiGraph()
         self._counters: Dict[str, itertools.count] = {}
         self._clock = itertools.count()
         # deployment map: device_id -> {model_name: version_id}
@@ -107,9 +103,6 @@ class ModelRegistry:
             created_at=next(self._clock),
         )
         self.versions[version.version_id] = version
-        self.lineage.add_node(version.version_id, kind=kind, model=model_name)
-        for parent in parents:
-            self.lineage.add_edge(parent, version.version_id, relation=kind)
         return version
 
     def register_model(self, model, kind: str = "base", parents: Sequence[str] = (), tags: Optional[Dict[str, object]] = None, model_name: Optional[str] = None) -> ModelVersion:
@@ -151,18 +144,21 @@ class ModelRegistry:
 
     def derived_from(self, version_id: str, recursive: bool = True) -> List[ModelVersion]:
         """Versions derived from ``version_id`` (children or full descendants)."""
-        self.get(version_id)
-        if recursive:
-            ids = nx.descendants(self.lineage, version_id)
-        else:
-            ids = set(self.lineage.successors(version_id))
-        return sorted((self.versions[i] for i in ids), key=lambda v: v.created_at)
+        found, out = {self.get(version_id).version_id}, []
+        for v in self.versions.values():  # registration order: parents come first
+            if found.intersection(v.parents):
+                out.append(v)
+                if recursive:
+                    found.add(v.version_id)
+        return out
 
     def ancestry(self, version_id: str) -> List[ModelVersion]:
         """All ancestors of a version (the provenance chain)."""
-        self.get(version_id)
-        ids = nx.ancestors(self.lineage, version_id)
-        return sorted((self.versions[i] for i in ids), key=lambda v: v.created_at)
+        found = set(self.get(version_id).parents)
+        for v in reversed(self.versions.values()):  # children before their parents
+            if v.version_id in found:
+                found.update(v.parents)
+        return sorted((self.versions[i] for i in found), key=lambda v: v.created_at)
 
     def find_by_tag(self, **tags: object) -> List[ModelVersion]:
         """Versions whose tags contain all the given key/value pairs."""
@@ -300,7 +296,7 @@ class ModelRegistry:
         return {
             "n_versions": len(self.versions),
             "n_models": len({v.model_name for v in self.versions.values()}),
-            "n_edges": self.lineage.number_of_edges(),
+            "n_edges": sum(len(set(v.parents)) for v in self.versions.values()),
             "by_kind": kinds,
             "store_bytes": self.store.total_bytes(),
             "n_deployed_devices": len(self.deployments),

@@ -16,13 +16,10 @@ between edge and cloud."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.devices.cost import CostModel
-from repro.devices.fleet import EdgeDevice
 from repro.devices.network import NetworkCondition
 from repro.devices.profiles import DeviceProfile
 from repro.exchange.analysis import split_point_costs

@@ -12,8 +12,7 @@ the unmodified model").
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

@@ -18,12 +18,12 @@ the platform needs; DESIGN.md records this substitution.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.nn.layers import Activation, BatchNorm, Conv2D, Dense, DepthwiseConv2D
+from repro.nn.layers import Conv2D, Dense, DepthwiseConv2D
 
 __all__ = ["EnclaveReport", "SimulatedEnclave", "slalom_partition"]
 

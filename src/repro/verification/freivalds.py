@@ -13,7 +13,7 @@ trial (so ≥ 1 - 2^-k for k trials).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 

@@ -3,10 +3,11 @@
 The batched scoring path (``ks_statistic_columns`` /
 ``population_stability_index_columns`` / ``jensen_shannon_divergence_columns``)
 must be *bit-identical* to the per-column loop it replaces — one
-``scipy.stats.ks_2samp`` / two ``np.histogram`` calls per feature column —
-on any window the oracle accepts: golden cases (constant columns,
-single-sample windows, heavy ties, shared values) plus hypothesis-generated
-random 2-D windows.
+``ks_statistic`` (the pooled-ECDF oracle; its identity with
+``scipy.stats.ks_2samp`` is tested in ``test_ks_kernel.py``) / two
+``np.histogram`` calls per feature column — on any window the oracle
+accepts: golden cases (constant columns, single-sample windows, heavy ties,
+shared values) plus hypothesis-generated random 2-D windows.
 """
 
 from __future__ import annotations
@@ -225,9 +226,10 @@ class TestNonFiniteIsolation:
     reason=(
         "no NaN policy for drift detectors yet (ROADMAP slice 8e): batched KS "
         "ranks a NaN live value above every sample and returns a finite "
-        "statistic (0.22 here) where scipy's oracle returns NaN, and the "
-        "oracle's per-feature max() is NaN only when the NaN column comes "
-        "first (max(nan, x) is nan, max(x, nan) is x)"
+        "statistic (0.22 here) where the ks_statistic oracle returns NaN (as "
+        "scipy's ks_2samp does), and the oracle's per-feature max() is NaN "
+        "only when the NaN column comes first (max(nan, x) is nan, "
+        "max(x, nan) is x)"
     ),
 )
 def test_nan_live_value_scores_nan_on_both_engines(rng):

@@ -1,4 +1,4 @@
-"""``ks_statistic_columns`` vs the kernel it replaced, kept here as an oracle.
+"""The KS kernels against the references they replaced, kept here as oracles.
 
 The live kernel makes one ``searchsorted`` per key and reads the KS extrema
 off positional ranks; the kernel it replaced made two searches per key and
@@ -10,21 +10,34 @@ piece of the new kernel: the second search for a reference column with a
 repeated value, the tie gather that turns ``# ref <= x`` into ``# ref < x``,
 and the NaN-reference edge.
 
+The per-column oracle ``ks_statistic`` is the pooled-ECDF construction
+``scipy.stats.ks_2samp`` uses, written in NumPy so that ``src/`` needs no
+scipy.  The seed-era ``ks_statistic``, one ``ks_2samp`` call, lives on below
+as ``scipy_ks_statistic``; a second property compares the two statistics by
+their bytes on the same adversarial values and checks the p-value against
+``scipy.special.kolmogorov``.  This module imports scipy (the ``test``
+extra) itself.
+
 e0 times the kernel by patching the name ``ks_statistic_columns`` in
 ``repro.observability.monitor``; the last test keeps that lookup honest.
 
-``benchmarks/bench_e4_observability_drift.py`` imports the oracle for its
-kernel-cost guardrail.
+``benchmarks/bench_e4_observability_drift.py`` imports both oracles: the
+kernel-cost guardrail times ``parent_ks_columns``, and the fleet-monitoring
+guardrail times ``scipy_ks_statistic`` as its seed-era baseline.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Tuple
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 import repro.observability.monitor as monitor_module
-from repro.observability import EdgeMonitor, FleetMonitor, ks_statistic_columns
+from repro.observability import EdgeMonitor, FleetMonitor, ks_statistic, ks_statistic_columns
 
 
 # -- oracle: the replaced kernel, verbatim -----------------------------------
@@ -69,6 +82,16 @@ def parent_ks_columns(reference_sorted: np.ndarray, live: np.ndarray) -> np.ndar
     min_c = np.minimum(np.minimum(at.min(axis=0), sup.min(axis=0)), 0.0)
     min_s = np.clip(-min_c, 0.0, 1.0)
     return np.maximum(min_s, max_s)
+
+
+def scipy_ks_statistic(reference: np.ndarray, live: np.ndarray) -> Tuple[float, float]:
+    """The seed-era ``ks_statistic``, verbatim: one ``scipy.stats.ks_2samp`` call."""
+    ref = np.asarray(reference, dtype=np.float64).ravel()
+    cur = np.asarray(live, dtype=np.float64).ravel()
+    if ref.size == 0 or cur.size == 0:
+        return 0.0, 1.0
+    result = stats.ks_2samp(ref, cur, method="asymp")
+    return float(result.statistic), float(result.pvalue)
 
 
 def assert_matches_parent(reference: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -130,6 +153,43 @@ def test_property_byte_identical_to_parent(data, n_ref, m, g, d):
     ref = np.array(data.draw(st.lists(VALUES, min_size=n_ref * d, max_size=n_ref * d))).reshape(n_ref, d)
     live = np.array(data.draw(st.lists(VALUES, min_size=m * g * d, max_size=m * g * d))).reshape(m, g * d)
     assert_matches_parent(ref, live)
+
+
+# -- the per-column oracle against scipy --------------------------------------
+def assert_matches_scipy(reference: np.ndarray, live: np.ndarray) -> None:
+    """Same statistic bytes as ``ks_2samp`` (NaN exactly when scipy's is), and
+    the p-value is the Kolmogorov survival function at ``D·sqrt(nm/(n+m))``."""
+    stat, pvalue = ks_statistic(reference, live)
+    want = scipy_ks_statistic(reference, live)[0]
+    if math.isnan(want):
+        assert math.isnan(stat) and math.isnan(pvalue), (stat, pvalue)
+        return
+    assert np.float64(stat).tobytes() == np.float64(want).tobytes(), (stat, want)
+    n, m = np.size(reference), np.size(live)
+    lam = want * math.sqrt(n * m / (n + m))
+    assert abs(pvalue - special.kolmogorov(lam)) <= 1e-12, (pvalue, special.kolmogorov(lam))
+
+
+def test_nan_on_either_side_propagates():
+    assert_matches_scipy(np.array([0.0, np.nan, 1.0]), np.array([0.5, 2.0]))
+    assert_matches_scipy(np.array([0.0, 1.0]), np.array([np.nan]))
+    assert math.isnan(ks_statistic(np.array([np.nan]), np.array([np.nan]))[0])
+
+
+def test_identical_samples_score_zero_with_pvalue_one():
+    """``diff`` is all zeros, so ``-min(diff)`` is ``-0.0``: the statistic is
+    ``max(diff)``'s ``+0.0``, and ``λ = 0`` gives ``p = 1``."""
+    stat, pvalue = ks_statistic(np.array([-0.0, 1.0, np.inf]), np.array([np.inf, 0.0, 1.0]))
+    assert np.float64(stat).tobytes() == np.float64(0.0).tobytes() and pvalue == 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    reference=st.lists(VALUES, min_size=1, max_size=12),
+    live=st.lists(VALUES, min_size=1, max_size=12),
+)
+def test_property_oracle_matches_scipy(reference, live):
+    assert_matches_scipy(np.array(reference), np.array(live))
 
 
 # -- tooling guard: e0's span patches the monitor's module global -------------
