@@ -62,19 +62,12 @@ class SelectionPolicy:
 
 @dataclass
 class SelectionResult:
-    """Chosen variant plus the per-candidate scores for explainability."""
+    """Chosen variant plus the per-candidate scores."""
 
     chosen: Optional[ModelVariant]
     scores: Dict[str, float]
     feasible: List[str]
     policy: SelectionPolicy
-
-    def explain(self) -> str:
-        lines = [f"policy: {self.policy}"]
-        for name, score in sorted(self.scores.items(), key=lambda kv: -kv[1]):
-            marker = "*" if self.chosen is not None and name == self.chosen.name else " "
-            lines.append(f" {marker} {name:<28} score={score:.4f}")
-        return "\n".join(lines)
 
 
 class ModelSelector:

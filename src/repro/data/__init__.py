@@ -1,9 +1,8 @@
 """Synthetic data generators, drift injectors and federated partitioners."""
 
-from .drift import DriftingStream, DriftSpec, concept_shift, covariate_shift, prior_shift
+from .drift import DriftingStream, DriftSpec, concept_shift, covariate_shift
 from .federated import (
     ClientData,
-    add_label_noise,
     drop_labels,
     partition_dirichlet,
     partition_iid,
@@ -14,32 +13,26 @@ from .synthetic import (
     Dataset,
     make_gaussian_blobs,
     make_keyword_spectrograms,
-    make_regression,
     make_sensor_windows,
     make_synthetic_digits,
-    make_two_moons,
     train_test_split,
 )
 
 __all__ = [
     "Dataset",
     "make_gaussian_blobs",
-    "make_two_moons",
     "make_synthetic_digits",
     "make_keyword_spectrograms",
     "make_sensor_windows",
-    "make_regression",
     "train_test_split",
     "DriftSpec",
     "DriftingStream",
     "covariate_shift",
-    "prior_shift",
     "concept_shift",
     "ClientData",
     "partition_iid",
     "partition_dirichlet",
     "partition_shards",
-    "add_label_noise",
     "drop_labels",
     "partition_statistics",
 ]

@@ -9,7 +9,7 @@ for detection delay and false-positive rate (experiment E4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .synthetic import Dataset
 
 __all__ = [
     "covariate_shift",
-    "prior_shift",
     "concept_shift",
     "DriftSpec",
     "DriftingStream",
@@ -34,29 +33,6 @@ def covariate_shift(x: np.ndarray, magnitude: float = 1.0, scale: float = 1.0, s
     direction = rng.normal(size=x.shape[1:])
     direction /= max(np.linalg.norm(direction), 1e-12)
     return x * scale + magnitude * direction
-
-
-def prior_shift(dataset: Dataset, class_weights: np.ndarray, n_samples: int, seed: int = 0) -> Dataset:
-    """Resample a dataset so the label distribution matches ``class_weights``."""
-    weights = np.asarray(class_weights, dtype=np.float64)
-    if weights.shape[0] != dataset.num_classes:
-        raise ValueError("class_weights length must equal num_classes")
-    weights = weights / weights.sum()
-    rng = np.random.default_rng(seed)
-    chosen: List[int] = []
-    per_class_idx = [np.flatnonzero(dataset.y == c) for c in range(dataset.num_classes)]
-    labels = rng.choice(dataset.num_classes, size=n_samples, p=weights)
-    for c in range(dataset.num_classes):
-        count = int(np.sum(labels == c))
-        if count == 0:
-            continue
-        pool = per_class_idx[c]
-        if pool.size == 0:
-            raise ValueError(f"dataset has no samples of class {c}")
-        chosen.extend(rng.choice(pool, size=count, replace=True).tolist())
-    idx = np.array(chosen)
-    rng.shuffle(idx)
-    return dataset.subset(idx, name=f"{dataset.name}-prior_shift")
 
 
 def concept_shift(y: np.ndarray, num_classes: int, fraction: float = 1.0, seed: int = 0) -> np.ndarray:
@@ -152,9 +128,3 @@ class DriftingStream:
                             x[take] = self.dataset.x[pick]
                             y[take] = c
             yield x, y, drifted
-
-    def first_drift_batch(self) -> Optional[int]:
-        """Index of the first batch at which any drift is active."""
-        if not self.specs:
-            return None
-        return min(spec.start for spec in self.specs)

@@ -1,4 +1,4 @@
-"""Federated data partitioning: non-IID client splits and label noise.
+"""Federated data partitioning: non-IID client splits and unlabeled shares.
 
 Paper Section III-D highlights that federated learning on edge devices must
 cope with heterogeneous (non-IID) client data and largely unlabeled data.
@@ -19,7 +19,6 @@ __all__ = [
     "partition_iid",
     "partition_dirichlet",
     "partition_shards",
-    "add_label_noise",
     "drop_labels",
     "partition_statistics",
 ]
@@ -129,17 +128,6 @@ def partition_shards(
         idx = np.concatenate([shards[s] for s in take]) if len(take) else np.empty(0, dtype=np.int64)
         assignment.append(idx)
     return _make_clients(dataset, assignment, prefix)
-
-
-def add_label_noise(client: ClientData, noise_rate: float, num_classes: int, seed: int = 0) -> ClientData:
-    """Flip a fraction of labels uniformly at random (low-quality user labels)."""
-    if not 0.0 <= noise_rate <= 1.0:
-        raise ValueError("noise_rate must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    y = client.y.copy()
-    flip = rng.random(y.shape[0]) < noise_rate
-    y[flip] = rng.integers(0, num_classes, size=int(flip.sum()))
-    return ClientData(client.client_id, client.x, y, client.x_unlabeled)
 
 
 def drop_labels(client: ClientData, unlabeled_fraction: float, seed: int = 0) -> ClientData:

@@ -14,18 +14,16 @@ integer labels, ready for :class:`repro.nn.Sequential`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 __all__ = [
     "Dataset",
     "make_gaussian_blobs",
-    "make_two_moons",
     "make_synthetic_digits",
     "make_keyword_spectrograms",
     "make_sensor_windows",
-    "make_regression",
     "train_test_split",
 ]
 
@@ -53,10 +51,6 @@ class Dataset:
             Dataset(x_tr, y_tr, name=f"{self.name}-train", num_classes=self.num_classes),
             Dataset(x_te, y_te, name=f"{self.name}-test", num_classes=self.num_classes),
         )
-
-    def subset(self, indices: np.ndarray, name: Optional[str] = None) -> "Dataset":
-        """Dataset restricted to ``indices`` (view-based where possible)."""
-        return Dataset(self.x[indices], self.y[indices], name=name or self.name, num_classes=self.num_classes)
 
 
 def train_test_split(
@@ -91,22 +85,6 @@ def make_gaussian_blobs(
     labels = rng.integers(0, n_classes, size=n_samples)
     x = centers[labels] + rng.normal(0.0, cluster_std, size=(n_samples, n_features))
     return Dataset(x, labels.astype(np.int64), name="gaussian_blobs", num_classes=n_classes)
-
-
-def make_two_moons(n_samples: int = 1000, noise: float = 0.1, seed: int = 0) -> Dataset:
-    """Two interleaved half-circles — a non-linearly separable binary task."""
-    rng = np.random.default_rng(seed)
-    n_out = n_samples // 2
-    n_in = n_samples - n_out
-    theta_out = rng.uniform(0, np.pi, n_out)
-    theta_in = rng.uniform(0, np.pi, n_in)
-    outer = np.stack([np.cos(theta_out), np.sin(theta_out)], axis=1)
-    inner = np.stack([1.0 - np.cos(theta_in), 0.5 - np.sin(theta_in)], axis=1)
-    x = np.concatenate([outer, inner], axis=0)
-    x += rng.normal(0.0, noise, size=x.shape)
-    y = np.concatenate([np.zeros(n_out, dtype=np.int64), np.ones(n_in, dtype=np.int64)])
-    perm = rng.permutation(n_samples)
-    return Dataset(x[perm], y[perm], name="two_moons", num_classes=2)
 
 
 def _digit_templates(size: int) -> np.ndarray:
@@ -247,17 +225,3 @@ def make_sensor_windows(
     signal[labels == 1] += 0.9 * burst
     x = signal.reshape(n_samples, -1)
     return Dataset(x, labels, name="sensor_windows", num_classes=2)
-
-
-def make_regression(
-    n_samples: int = 1000,
-    n_features: int = 8,
-    noise: float = 0.1,
-    seed: int = 0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Linear-plus-sine regression data for telemetry / calibration tests."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n_samples, n_features))
-    w = rng.normal(size=n_features)
-    y = x @ w + 0.5 * np.sin(x[:, 0] * 3.0) + rng.normal(0.0, noise, size=n_samples)
-    return x, y[:, None]

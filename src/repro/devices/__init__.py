@@ -1,8 +1,7 @@
-"""Simulated edge-device substrate: profiles, cost models, fleets, DES kernel."""
+"""Simulated edge-device substrate: profiles, cost models, fleets, fleet state."""
 
 from .battery import Battery, PowerState
 from .cost import CostModel, ExecutionCost, model_flops_and_bytes
-from .events import Event, EventQueue
 from .fleet import EdgeDevice, Fleet, InstalledArtifact
 from .network import ConnectivityTrace, NetworkCondition, NetworkType, transfer_time_s
 from .profiles import (
@@ -21,8 +20,6 @@ __all__ = [
     "CostModel",
     "ExecutionCost",
     "model_flops_and_bytes",
-    "Event",
-    "EventQueue",
     "EdgeDevice",
     "Fleet",
     "InstalledArtifact",

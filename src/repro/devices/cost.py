@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-import numpy as np
-
 from .profiles import DeviceProfile
 
 __all__ = ["ExecutionCost", "CostModel", "model_flops_and_bytes"]
@@ -35,16 +33,6 @@ class ExecutionCost:
     peak_memory_bytes: float
     flops: float
     bytes_moved: float
-
-    def scaled(self, factor: float) -> "ExecutionCost":
-        """Cost multiplied by ``factor`` (e.g. number of queries)."""
-        return ExecutionCost(
-            latency_s=self.latency_s * factor,
-            energy_j=self.energy_j * factor,
-            peak_memory_bytes=self.peak_memory_bytes,
-            flops=self.flops * factor,
-            bytes_moved=self.bytes_moved * factor,
-        )
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -147,24 +135,6 @@ class CostModel:
         flops, bytes_moved, peak = model_flops_and_bytes(model, bits=bits)
         return self.inference_cost(profile, flops, bytes_moved, peak, bits=bits)
 
-    def training_step_cost(
-        self,
-        profile: DeviceProfile,
-        flops: float,
-        bytes_moved: float,
-        peak_memory: float,
-        bits: int = 32,
-    ) -> ExecutionCost:
-        """Cost of one forward+backward+update step (≈3x forward, Sec. III-D)."""
-        fwd = self.inference_cost(profile, flops, bytes_moved, peak_memory, bits)
-        return ExecutionCost(
-            latency_s=fwd.latency_s * self.training_factor,
-            energy_j=fwd.energy_j * self.training_factor,
-            peak_memory_bytes=fwd.peak_memory_bytes * 2.0,
-            flops=fwd.flops * self.training_factor,
-            bytes_moved=fwd.bytes_moved * self.training_factor,
-        )
-
     def transmission_cost(self, profile: DeviceProfile, payload_bytes: float, bandwidth_bps: float) -> ExecutionCost:
         """Latency/energy of sending ``payload_bytes`` over the current link."""
         if bandwidth_bps <= 0:
@@ -172,27 +142,3 @@ class CostModel:
         latency = payload_bytes * 8.0 / bandwidth_bps
         energy = payload_bytes * profile.radio_energy_per_byte
         return ExecutionCost(latency, energy, 0.0, 0.0, payload_bytes)
-
-    # -- feasibility -----------------------------------------------------
-    def fits_device(self, profile: DeviceProfile, model_bytes: float, peak_memory: float) -> bool:
-        """Does the model fit in flash and its activations in RAM?"""
-        return model_bytes <= profile.flash_bytes and peak_memory <= profile.ram_bytes
-
-    def enclave_cost(self, profile: DeviceProfile, base: ExecutionCost, fraction_in_enclave: float = 1.0) -> ExecutionCost:
-        """Cost when ``fraction_in_enclave`` of the compute runs in the SPE.
-
-        Models the Slalom/MLCapsule observation (paper Sec. VI) that running
-        everything inside a TEE costs roughly ``enclave_slowdown``x, while
-        hybrid schemes only pay it on the protected fraction.
-        """
-        if not profile.has_secure_enclave:
-            raise ValueError(f"device {profile.name} has no secure enclave")
-        frac = float(np.clip(fraction_in_enclave, 0.0, 1.0))
-        factor = (1.0 - frac) + frac * profile.enclave_slowdown
-        return ExecutionCost(
-            latency_s=base.latency_s * factor,
-            energy_j=base.energy_j * factor,
-            peak_memory_bytes=base.peak_memory_bytes,
-            flops=base.flops,
-            bytes_moved=base.bytes_moved,
-        )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -231,11 +231,6 @@ class EdgeDevice:
                     }
                 )
         return ran
-
-    def run_model(self, model, bits: int = 32) -> Tuple[bool, ExecutionCost]:
-        """Estimate and account the cost of one inference of ``model``."""
-        cost = self._cost_model.model_inference_cost(self.profile, model, bits=bits)
-        return self.execute(cost), cost
 
     # -- context signals -------------------------------------------------
     def context(self) -> Dict[str, object]:

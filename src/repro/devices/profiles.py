@@ -18,7 +18,7 @@ is provided along with a generator for randomized fleets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional
 
 import numpy as np
@@ -137,10 +137,6 @@ class DeviceProfile:
     def supports_bitwidth(self, bits: int) -> bool:
         """True when ``bits``-wide arithmetic executes natively."""
         return int(bits) in self.supported_bitwidths
-
-    def with_overrides(self, **kwargs) -> "DeviceProfile":
-        """Return a copy with some attributes replaced."""
-        return replace(self, **kwargs)
 
     def describe(self) -> Dict[str, object]:
         """Plain-dict summary used in manifests and reports."""

@@ -573,19 +573,6 @@ class FleetExecutor:
             }
         )
 
-    @classmethod
-    def from_models(cls, models: Mapping[str, object], pipeline=None) -> "FleetExecutor":
-        """Compile ``repro.nn`` models (e.g. optimize/ variants) into plans.
-
-        Each model is exported to the IR and lowered with the standard
-        inference pipeline (or a caller-supplied one) before compilation.
-        """
-        from .graph import from_sequential
-        from .passes import PassPipeline
-
-        pipeline = pipeline or PassPipeline.standard_inference()
-        return cls({name: CompiledExecutor(pipeline.run(from_sequential(m))) for name, m in models.items()})
-
     def run_fleet(
         self,
         assignments: Mapping[str, str],

@@ -185,10 +185,6 @@ class FaultInjector:
         self._interrupts: Dict[int, int] = {int(r): int(k) for r, k in plan.interrupts}
         self.reset()
 
-    @classmethod
-    def from_seed(cls, seed: int, retry_policy: Optional[RetryPolicy] = None, **generate_kwargs) -> "FaultInjector":
-        return cls(FaultPlan.generate(seed, **generate_kwargs), retry_policy=retry_policy)
-
     def reset(self) -> None:
         """Rewind all positional counters (replay the plan from the top)."""
         self._serve_window = 0

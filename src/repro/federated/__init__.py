@@ -28,7 +28,7 @@ from .engine import (
     train_clients_batched,
     vectorized_supported,
 )
-from .scheduling import ClientScheduler, EligibilityScheduler, EnergyAwareScheduler, RandomScheduler
+from .scheduling import ClientScheduler, EligibilityScheduler, RandomScheduler
 from .server import centralized_baseline, personalize_all
 
 __all__ = [
@@ -60,5 +60,4 @@ __all__ = [
     "ClientScheduler",
     "RandomScheduler",
     "EligibilityScheduler",
-    "EnergyAwareScheduler",
 ]

@@ -46,11 +46,6 @@ class CompressedUpdate:
     original_dim: int
     nbytes: int
 
-    def ratio(self) -> float:
-        """Compression ratio versus float32 dense transmission."""
-        dense = self.original_dim * 4
-        return dense / max(self.nbytes, 1)
-
 
 class UpdateCompressor:
     """Base interface: ``compress`` a flat vector, ``decompress`` it back."""

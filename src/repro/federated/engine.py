@@ -296,8 +296,8 @@ def vectorized_supported(model: Sequential, clients: Sequence[FederatedClient]) 
 
     Heterogeneous-but-replayable fleets return False here yet still avoid
     the scalar loop: :func:`partition_cohorts` splits them into multiple
-    batched cohorts.  This predicate is the "no bucketing needed" fast
-    answer (and the seed-era compatibility surface).
+    batched cohorts.  This predicate is the "no bucketing needed" answer;
+    the cohort suites check :func:`partition_cohorts` against it.
     """
     if _supported_layers(model) is None:
         return False

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["ClientScheduler", "RandomScheduler", "EligibilityScheduler", "EnergyAwareScheduler"]
+__all__ = ["ClientScheduler", "RandomScheduler", "EligibilityScheduler"]
 
 
 def _context_float(ctx: Dict[str, object], key: str, default: float = 0.0) -> float:
@@ -87,32 +87,3 @@ class EligibilityScheduler(ClientScheduler):
             picked = self._rng.choice(len(eligible), size=self.max_clients, replace=False)
             eligible = [eligible[i] for i in sorted(picked)]
         return eligible
-
-
-class EnergyAwareScheduler(ClientScheduler):
-    """Prefer plugged-in / high-battery clients, filling up to ``max_clients``.
-
-    Ranks clients by a simple score: plugged-in clients first, then by state
-    of charge; ties broken deterministically by id.  This models the
-    practical deployment policy of running training only where the energy
-    cost is acceptable.
-    """
-
-    def __init__(self, max_clients: int = 10) -> None:
-        if max_clients <= 0:
-            raise ValueError("max_clients must be positive")
-        self.max_clients = int(max_clients)
-
-    def select(self, client_ids: Sequence[str], round_index: int, context: Optional[Dict[str, Dict[str, object]]] = None) -> List[str]:
-        context = context or {}
-
-        def score(cid: str) -> tuple:
-            ctx = context.get(cid) or {}
-            plugged = 1 if ctx.get("power_state") == "plugged_in" else 0
-            soc = _context_float(ctx, "state_of_charge")
-            online = 1 if ctx.get("network_online", False) else 0
-            return (online, plugged, soc)
-
-        candidates = [cid for cid in client_ids if (context.get(cid) or {}).get("network_online", False)]
-        ranked = sorted(candidates, key=lambda cid: (score(cid), cid), reverse=True)
-        return ranked[: self.max_clients]

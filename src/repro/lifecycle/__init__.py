@@ -6,7 +6,6 @@ from repro.lifecycle.pipeline import (
     LifecycleConfig,
     LifecycleDecision,
     LifecyclePipeline,
-    bad_architecture_candidate,
     default_gates,
     degraded_candidate,
     oversized_candidate,
@@ -18,7 +17,6 @@ __all__ = [
     "LifecycleConfig",
     "LifecycleDecision",
     "LifecyclePipeline",
-    "bad_architecture_candidate",
     "default_gates",
     "degraded_candidate",
     "oversized_candidate",

@@ -109,7 +109,6 @@ __all__ = [
     "default_gates",
     "LifecycleDecision",
     "LifecyclePipeline",
-    "bad_architecture_candidate",
     "oversized_candidate",
     "degraded_candidate",
 ]
@@ -319,18 +318,6 @@ def _dense_dims(model: Sequential) -> Tuple[int, int]:
     if not dense:
         raise ValueError("model has no Dense layers to derive dimensions from")
     return int(dense[0].params["W"].shape[0]), int(dense[-1].params["W"].shape[1])
-
-
-def bad_architecture_candidate(incumbent: Sequential, seed: int = 0) -> Sequential:
-    """A candidate whose input width does not match the deployment.
-
-    Serving it raises at the first canary window, so the architecture gate
-    must catch and roll it back (the mlops-chi "bad model" scenario).
-    """
-    from repro.nn.zoo import make_mlp
-
-    in_dim, out_dim = _dense_dims(incumbent)
-    return make_mlp(in_dim + 3, out_dim, hidden=(8,), seed=seed, name=incumbent.name)
 
 
 def oversized_candidate(incumbent: Sequential, hidden_width: int = 4096, seed: int = 0) -> Sequential:

@@ -31,10 +31,6 @@ from .losses import (
 from .metrics import (
     accuracy,
     agreement,
-    confusion_matrix,
-    precision_recall_f1,
-    r2_score,
-    top_k_accuracy,
 )
 from .model import Sequential, batch_iterator
 from .optimizers import SGD, Adam, Momentum, Optimizer, get_optimizer
@@ -76,10 +72,6 @@ __all__ = [
     "binary_cross_entropy",
     "distillation_loss",
     "accuracy",
-    "top_k_accuracy",
-    "confusion_matrix",
-    "precision_recall_f1",
-    "r2_score",
     "agreement",
     "make_mlp",
     "make_tiny_cnn",

@@ -79,10 +79,6 @@ class Layer:
         """Total number of scalar parameters in this layer."""
         return int(sum(p.size for p in self.params.values()))
 
-    def get_config(self) -> Dict[str, object]:
-        """Serializable configuration used by the exchange layer."""
-        return {"name": self.name, "type": self.__class__.__name__}
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.__class__.__name__}(name={self.name!r}, params={self.num_params()})"
 
@@ -204,11 +200,6 @@ class Dense(Layer):
             self.grads["b"] = grad_out.sum(axis=0)
         return grad_out @ self.params["W"].T
 
-    def get_config(self) -> Dict[str, object]:
-        cfg = super().get_config()
-        cfg.update({"units": self.units, "activation": self.activation_name, "use_bias": self.use_bias})
-        return cfg
-
 
 class Activation(Layer):
     """Standalone activation layer (useful after BatchNorm or Conv2D)."""
@@ -228,11 +219,6 @@ class Activation(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out * self._grad(self._cache["x"], self._cache["y"])
-
-    def get_config(self) -> Dict[str, object]:
-        cfg = super().get_config()
-        cfg["activation"] = self.activation_name
-        return cfg
 
 
 class Dropout(Layer):
@@ -271,11 +257,6 @@ class Dropout(Layer):
         if self._mask is None:
             return grad_out
         return grad_out * self._mask
-
-    def get_config(self) -> Dict[str, object]:
-        cfg = super().get_config()
-        cfg["rate"] = self.rate
-        return cfg
 
 
 class Flatten(Layer):
@@ -382,20 +363,6 @@ class Conv2D(Layer):
         grad_cols = grad_mat @ self.params["W"].reshape(-1, self.filters).T
         return col2im(grad_cols, x_shape, k, k, s, p)
 
-    def get_config(self) -> Dict[str, object]:
-        cfg = super().get_config()
-        cfg.update(
-            {
-                "filters": self.filters,
-                "kernel_size": self.kernel_size,
-                "stride": self.stride,
-                "padding": self.padding,
-                "activation": self.activation_name,
-                "use_bias": self.use_bias,
-            }
-        )
-        return cfg
-
 
 class DepthwiseConv2D(Layer):
     """Depthwise 2-D convolution — the workhorse of MobileNet-style edge nets.
@@ -484,20 +451,6 @@ class DepthwiseConv2D(Layer):
         grad_cols3 = np.einsum("pc,kc->pkc", g, w, optimize=True)
         grad_cols = grad_cols3.reshape(n * oh * ow, k * k * c)
         return col2im(grad_cols, x_shape, k, k, s, p)
-
-    def get_config(self) -> Dict[str, object]:
-        cfg = super().get_config()
-        cfg.update(
-            {
-                "kernel_size": self.kernel_size,
-                "stride": self.stride,
-                "padding": self.padding,
-                "activation": self.activation_name,
-                "use_bias": self.use_bias,
-            }
-        )
-        return cfg
-
 
 # ---------------------------------------------------------------------------
 # Pooling
@@ -656,8 +609,3 @@ class BatchNorm(Layer):
             dxhat - dxhat.mean(axis=axes) - x_hat * (dxhat * x_hat).mean(axis=axes)
         ) * inv_std
         return grad_in
-
-    def get_config(self) -> Dict[str, object]:
-        cfg = super().get_config()
-        cfg.update({"momentum": self.momentum, "eps": self.eps})
-        return cfg

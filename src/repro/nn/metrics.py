@@ -1,19 +1,10 @@
-"""Evaluation metrics for classification and regression."""
+"""Classification metrics: accuracy and model agreement."""
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
-__all__ = [
-    "accuracy",
-    "top_k_accuracy",
-    "confusion_matrix",
-    "precision_recall_f1",
-    "r2_score",
-    "agreement",
-]
+__all__ = ["accuracy", "agreement"]
 
 
 def accuracy(logits_or_preds: np.ndarray, labels: np.ndarray) -> float:
@@ -26,52 +17,6 @@ def accuracy(logits_or_preds: np.ndarray, labels: np.ndarray) -> float:
     if preds.ndim == 2:
         preds = preds.argmax(axis=-1)
     return float(np.mean(preds == labels))
-
-
-def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 3) -> float:
-    """Fraction of examples whose true label is in the top-``k`` predictions."""
-    if logits.ndim != 2:
-        raise ValueError("top_k_accuracy requires a (n, classes) logits matrix")
-    k = min(k, logits.shape[1])
-    topk = np.argpartition(-logits, kth=k - 1, axis=1)[:, :k]
-    return float(np.mean(np.any(topk == labels[:, None], axis=1)))
-
-
-def confusion_matrix(preds: np.ndarray, labels: np.ndarray, num_classes: int | None = None) -> np.ndarray:
-    """Dense confusion matrix ``C[true, pred]``."""
-    if preds.ndim == 2:
-        preds = preds.argmax(axis=-1)
-    if num_classes is None:
-        num_classes = int(max(preds.max(initial=0), labels.max(initial=0))) + 1
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(cm, (labels.astype(int), preds.astype(int)), 1)
-    return cm
-
-
-def precision_recall_f1(preds: np.ndarray, labels: np.ndarray, num_classes: int | None = None) -> Dict[str, float]:
-    """Macro-averaged precision, recall and F1."""
-    cm = confusion_matrix(preds, labels, num_classes)
-    tp = np.diag(cm).astype(np.float64)
-    pred_pos = cm.sum(axis=0).astype(np.float64)
-    true_pos = cm.sum(axis=1).astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(pred_pos > 0, tp / pred_pos, 0.0)
-        recall = np.where(true_pos > 0, tp / true_pos, 0.0)
-        f1 = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
-    return {
-        "precision": float(precision.mean()),
-        "recall": float(recall.mean()),
-        "f1": float(f1.mean()),
-    }
-
-
-def r2_score(pred: np.ndarray, target: np.ndarray) -> float:
-    """Coefficient of determination for regression outputs."""
-    ss_res = float(np.sum((target - pred) ** 2))
-    ss_tot = float(np.sum((target - target.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 0.0 if ss_res > 0 else 1.0
-    return 1.0 - ss_res / ss_tot
 
 
 def agreement(logits_a: np.ndarray, logits_b: np.ndarray) -> float:

@@ -212,25 +212,6 @@ class Sequential:
     # ------------------------------------------------------------------
     # weights I/O
     # ------------------------------------------------------------------
-    def get_weights(self) -> List[Dict[str, np.ndarray]]:
-        """Copy of every layer's parameter dict (list aligned with layers)."""
-        return [{k: v.copy() for k, v in layer.params.items()} for layer in self.layers]
-
-    def set_weights(self, weights: Sequence[Dict[str, np.ndarray]]) -> None:
-        """Load weights produced by :meth:`get_weights` (shapes must match)."""
-        if len(weights) != len(self.layers):
-            raise ValueError("weight list length does not match number of layers")
-        for layer, w in zip(self.layers, weights):
-            for key, value in w.items():
-                if key not in layer.params:
-                    raise KeyError(f"layer {layer.name} has no parameter {key!r}")
-                if layer.params[key].shape != value.shape:
-                    raise ValueError(
-                        f"shape mismatch for {layer.name}.{key}: "
-                        f"{layer.params[key].shape} vs {value.shape}"
-                    )
-                layer.params[key] = value.astype(np.float64).copy()
-
     def get_flat_weights(self) -> np.ndarray:
         """All parameters concatenated into a single 1-D vector."""
         parts = []

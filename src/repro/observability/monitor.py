@@ -397,9 +397,6 @@ class AlertEngine:
         self.rules: List[AlertRule] = list(rules or [])
         self.alerts: List[Alert] = []
 
-    def add_rule(self, rule: AlertRule) -> None:
-        self.rules.append(rule)
-
     def evaluate(self, metrics: Dict[str, float]) -> List[Alert]:
         """Run all rules; append and return any alerts raised."""
         raised = []

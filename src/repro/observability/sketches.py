@@ -8,7 +8,6 @@ small mergeable summaries that the backend can combine across the fleet:
 * :class:`RunningMoments`  — count/mean/variance via Welford, mergeable.
 * :class:`ReservoirSample` — fixed-size uniform sample of a stream.
 * :class:`CountMinSketch`  — approximate frequency counts.
-* :class:`StreamingHistogram` — fixed-bin histogram over a known range.
 * :class:`P2Quantile`      — the P² single-pass quantile estimator.
 
 Per-observation state (the P² markers, the moment triples) is plain Python
@@ -27,7 +26,6 @@ __all__ = [
     "RunningMoments",
     "ReservoirSample",
     "CountMinSketch",
-    "StreamingHistogram",
     "P2Quantile",
 ]
 
@@ -282,55 +280,6 @@ class CountMinSketch:
         self.table += other.table
         self.total += other.total
         return self
-
-
-class StreamingHistogram:
-    """Fixed-bin histogram over a known value range; mergeable by addition."""
-
-    def __init__(self, lo: float, hi: float, bins: int = 32) -> None:
-        if hi <= lo:
-            raise ValueError("hi must exceed lo")
-        if bins <= 0:
-            raise ValueError("bins must be positive")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.bins = int(bins)
-        self.counts = np.zeros(bins, dtype=np.int64)
-        self.underflow = 0
-        self.overflow = 0
-
-    def update(self, values: Iterable[float] | np.ndarray) -> None:
-        """Add values (vectorized binning)."""
-        arr = np.atleast_1d(np.asarray(values, dtype=np.float64)).ravel()
-        if arr.size == 0:
-            return
-        self.underflow += int(np.count_nonzero(arr < self.lo))
-        self.overflow += int(np.count_nonzero(arr >= self.hi))
-        inside = arr[(arr >= self.lo) & (arr < self.hi)]
-        if inside.size:
-            idx = ((inside - self.lo) / (self.hi - self.lo) * self.bins).astype(int)
-            self.counts += np.bincount(np.clip(idx, 0, self.bins - 1), minlength=self.bins)
-
-    def density(self) -> np.ndarray:
-        """Normalized bin probabilities (including clipped tails in the edge bins)."""
-        counts = self.counts.astype(np.float64).copy()
-        counts[0] += self.underflow
-        counts[-1] += self.overflow
-        total = counts.sum()
-        return counts / total if total > 0 else counts
-
-    def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
-        """Merge histograms with identical binning."""
-        if (self.lo, self.hi, self.bins) != (other.lo, other.hi, other.bins):
-            raise ValueError("cannot merge histograms with different binning")
-        self.counts += other.counts
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-        return self
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum()) + self.underflow + self.overflow
 
 
 class P2Quantile:

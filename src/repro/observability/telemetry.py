@@ -235,20 +235,3 @@ class TelemetryAggregator:
             "energy_mean": float(np.average(energy_mean, weights=weights)),
             "total_payload_bytes": float(sum(r.payload_bytes for r in reports)),
         }
-
-    def slow_devices(self, latency_threshold_s: float) -> List[str]:
-        """Devices whose mean latency exceeds a threshold (performance issues)."""
-        worst: Dict[str, float] = {}
-        for r in self.reports:
-            worst[r.device_id] = max(worst.get(r.device_id, 0.0), r.latency.get("mean", 0.0))
-        return sorted(d for d, v in worst.items() if v > latency_threshold_s)
-
-    def prediction_distribution(self, model_version: Optional[str] = None) -> Dict[int, int]:
-        """Fleet-wide predicted-class histogram (merged from device reports)."""
-        merged: Dict[int, int] = {}
-        for r in self.reports:
-            if model_version is not None and r.model_version != model_version:
-                continue
-            for cls, count in r.prediction_histogram.items():
-                merged[cls] = merged.get(cls, 0) + count
-        return merged

@@ -4,8 +4,6 @@ from .distillation import distill, soft_label_dataset
 from .lowrank import dense_rank_for_compression, factorize_dense_model
 from .pareto import ModelVariant, VariantGenerator, pareto_front
 from .pruning import (
-    global_magnitude_prune,
-    iterative_prune_finetune,
     magnitude_prune,
     sparse_size_bytes,
     sparsity,
@@ -13,10 +11,8 @@ from .pruning import (
 )
 from .quantization import (
     QuantizationConfig,
-    calibrate_activation_ranges,
     dequantize_array,
     fake_quantize,
-    quantization_error,
     quantize_array,
     quantize_model,
     static_fake_quantize,
@@ -29,14 +25,10 @@ __all__ = [
     "fake_quantize",
     "static_fake_quantize",
     "quantize_model",
-    "quantization_error",
-    "calibrate_activation_ranges",
     "magnitude_prune",
-    "global_magnitude_prune",
     "structured_prune_dense",
     "sparsity",
     "sparse_size_bytes",
-    "iterative_prune_finetune",
     "distill",
     "soft_label_dataset",
     "factorize_dense_model",

@@ -9,17 +9,15 @@ units, producing a genuinely smaller architecture.  Both are implemented on
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 __all__ = [
     "magnitude_prune",
-    "global_magnitude_prune",
     "structured_prune_dense",
     "sparsity",
     "sparse_size_bytes",
-    "iterative_prune_finetune",
 ]
 
 
@@ -69,28 +67,6 @@ def magnitude_prune(model, target_sparsity: float, name_suffix: Optional[str] = 
         threshold = np.partition(np.abs(w).ravel(), k - 1)[k - 1]
         mask = np.abs(w) > threshold
         layer.params["W"] = w * mask
-    return clone
-
-
-def global_magnitude_prune(model, target_sparsity: float, name_suffix: Optional[str] = None):
-    """Global magnitude pruning: a single threshold across all weight tensors."""
-    if not 0.0 <= target_sparsity < 1.0:
-        raise ValueError("target_sparsity must be in [0, 1)")
-    suffix = name_suffix if name_suffix is not None else f"-gsp{int(target_sparsity * 100)}"
-    clone = model.clone(copy_weights=True, name=f"{model.name}{suffix}")
-    all_w = [layer.params["W"].ravel() for layer in clone.layers if "W" in layer.params]
-    if not all_w:
-        return clone
-    flat = np.abs(np.concatenate(all_w))
-    k = int(np.floor(target_sparsity * flat.size))
-    if k <= 0:
-        return clone
-    threshold = np.partition(flat, k - 1)[k - 1]
-    for layer in clone.layers:
-        w = layer.params.get("W")
-        if w is None:
-            continue
-        layer.params["W"] = w * (np.abs(w) > threshold)
     return clone
 
 
@@ -153,37 +129,3 @@ def structured_prune_dense(model, keep_fraction: float, seed: int = 0):
         name=f"{model.name}-struct{int(keep_fraction * 100)}",
     )
     return pruned
-
-
-def iterative_prune_finetune(
-    model,
-    x: np.ndarray,
-    y: np.ndarray,
-    final_sparsity: float = 0.8,
-    steps: int = 4,
-    finetune_epochs: int = 1,
-    lr: float = 0.005,
-    seed: int = 0,
-) -> Tuple[object, List[Dict[str, float]]]:
-    """Iterative magnitude pruning with fine-tuning between steps.
-
-    Returns the pruned model and a log of ``{sparsity, accuracy}`` after
-    every prune/fine-tune cycle.  This is the standard "prune gradually"
-    recipe from Han et al. referenced by the paper.
-    """
-    if steps <= 0:
-        raise ValueError("steps must be positive")
-    current = model.clone(copy_weights=True, name=f"{model.name}-imp")
-    log: List[Dict[str, float]] = []
-    for step in range(1, steps + 1):
-        target = final_sparsity * step / steps
-        current = global_magnitude_prune(current, target, name_suffix="")
-        current.name = f"{model.name}-imp"
-        if finetune_epochs > 0:
-            current.fit(x, y, epochs=finetune_epochs, batch_size=32, lr=lr, seed=seed + step)
-            # Re-apply the mask: fine-tuning regrows pruned weights otherwise.
-            current = global_magnitude_prune(current, target, name_suffix="")
-            current.name = f"{model.name}-imp"
-        acc = current.evaluate(x, y)["accuracy"]
-        log.append({"step": float(step), "sparsity": sparsity(current), "accuracy": acc})
-    return current, log

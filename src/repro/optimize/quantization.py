@@ -12,7 +12,7 @@ speed-up when the target natively supports the chosen bit width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = [
     "fake_quantize",
     "static_fake_quantize",
     "quantize_model",
-    "quantization_error",
-    "calibrate_activation_ranges",
 ]
 
 
@@ -154,35 +152,3 @@ def quantize_model(model, config: QuantizationConfig, name_suffix: Optional[str]
                     value, config.bits, symmetric=config.symmetric, per_channel=config.per_channel
                 )
     return clone
-
-
-def quantization_error(model, quantized) -> Dict[str, float]:
-    """Weight-space error statistics between a model and its quantized copy."""
-    w_ref = model.get_flat_weights()
-    w_q = quantized.get_flat_weights()
-    if w_ref.shape != w_q.shape:
-        raise ValueError("models have different parameter counts")
-    diff = w_ref - w_q
-    denom = float(np.linalg.norm(w_ref)) or 1.0
-    return {
-        "mse": float(np.mean(diff**2)),
-        "max_abs": float(np.max(np.abs(diff))) if diff.size else 0.0,
-        "relative_l2": float(np.linalg.norm(diff)) / denom,
-    }
-
-
-def calibrate_activation_ranges(model, calibration_x: np.ndarray, percentile: float = 99.9) -> Dict[str, Tuple[float, float]]:
-    """Record per-layer activation ranges on calibration data.
-
-    Mirrors the calibration step of integer deployment toolchains: the
-    recorded ranges are attached to deployment manifests so the on-device
-    runtime can configure its (simulated) activation quantizers.
-    """
-    ranges: Dict[str, Tuple[float, float]] = {}
-    out = calibration_x
-    for layer in model.layers:
-        out = layer.forward(out, training=False)
-        lo = float(np.percentile(out, 100.0 - percentile))
-        hi = float(np.percentile(out, percentile))
-        ranges[layer.name] = (lo, hi)
-    return ranges

@@ -169,11 +169,6 @@ class ExtractionDetector:
         self.flags[client_id] = flagged
         return flagged
 
-    def flagged_clients(self) -> List[str]:
-        """Clients currently flagged as suspicious."""
-        return sorted(c for c, f in self.flags.items() if f)
-
-
 # ---------------------------------------------------------------------------
 # protected deployment wrapper
 # ---------------------------------------------------------------------------

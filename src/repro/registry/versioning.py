@@ -152,22 +152,6 @@ class ModelRegistry:
                     found.add(v.version_id)
         return out
 
-    def ancestry(self, version_id: str) -> List[ModelVersion]:
-        """All ancestors of a version (the provenance chain)."""
-        found = set(self.get(version_id).parents)
-        for v in reversed(self.versions.values()):  # children before their parents
-            if v.version_id in found:
-                found.update(v.parents)
-        return sorted((self.versions[i] for i in found), key=lambda v: v.created_at)
-
-    def find_by_tag(self, **tags: object) -> List[ModelVersion]:
-        """Versions whose tags contain all the given key/value pairs."""
-        out = []
-        for v in self.versions.values():
-            if all(v.tags.get(k) == val for k, val in tags.items()):
-                out.append(v)
-        return sorted(out, key=lambda v: v.created_at)
-
     # ------------------------------------------------------------------
     # deployments
     # ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Verifiable execution: Freivalds checks, Merkle commitments, transcripts, simulated TEE."""
 
-from .commitments import MerkleTree, commit_model_weights, verify_weight_chunk
+from .commitments import MerkleTree, commit_model_weights
 from .enclave import EnclaveReport, SimulatedEnclave, slalom_partition
 from .freivalds import FreivaldsVerifier, freivalds_check, verify_compiled_run
 from .protocol import ExecutionTranscript, TranscriptVerifier, VerifiableExecutor
@@ -11,7 +11,6 @@ __all__ = [
     "FreivaldsVerifier",
     "MerkleTree",
     "commit_model_weights",
-    "verify_weight_chunk",
     "ExecutionTranscript",
     "VerifiableExecutor",
     "TranscriptVerifier",

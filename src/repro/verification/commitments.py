@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["MerkleTree", "commit_model_weights", "verify_weight_chunk"]
+__all__ = ["MerkleTree", "commit_model_weights"]
 
 
 def _hash(data: bytes) -> str:
@@ -90,8 +90,3 @@ def commit_model_weights(model, chunk_size: int = 4096) -> Tuple[str, MerkleTree
     chunks = [raw[i : i + chunk_size] for i in range(0, len(raw), chunk_size)]
     tree = MerkleTree(chunks)
     return tree.root, tree, chunks
-
-
-def verify_weight_chunk(chunk: bytes, index: int, proof: Sequence[Tuple[str, str]], root: str) -> bool:
-    """Convenience alias for :meth:`MerkleTree.verify_proof` on weight chunks."""
-    return MerkleTree.verify_proof(chunk, index, proof, root)

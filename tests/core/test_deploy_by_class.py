@@ -16,6 +16,7 @@ the oracle and :func:`assert_twins_equal` from this module.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -318,8 +319,8 @@ class TestHandcraftedFleets:
 
     def test_unfit_and_uncompilable_classes_fail_in_target_order(self, trained_mlp, blobs):
         _, test = blobs
-        no_flash = get_profile("mcu-m0").with_overrides(name="mcu-noflash", flash_bytes=64)  # select -> None
-        no_ram = get_profile("mcu-m4").with_overrides(name="mcu-noram", ram_bytes=16)  # compile raises
+        no_flash = dataclasses.replace(get_profile("mcu-m0"), name="mcu-noflash", flash_bytes=64)  # select -> None
+        no_ram = dataclasses.replace(get_profile("mcu-m4"), name="mcu-noram", ram_bytes=16)  # compile raises
 
         def make_fleet():
             return Fleet(

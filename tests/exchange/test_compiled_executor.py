@@ -330,7 +330,8 @@ class TestFleetExecutor:
             "int8": quantize_model(base, QuantizationConfig(bits=8)),
             "pruned": magnitude_prune(base, 0.5),
         }
-        fleet = FleetExecutor.from_models(models)
+        pipeline = PassPipeline.standard_inference()
+        fleet = FleetExecutor({name: CompiledExecutor(pipeline.run(from_sequential(m))) for name, m in models.items()})
         assignments = {"a": "fp32", "b": "pruned", "c": "int8", "ghost": "int8"}
         inputs = {"a": RNG.normal(size=(2, 6)), "b": RNG.normal(size=(3, 6)), "c": RNG.normal(size=(1, 6))}
         outputs = fleet.run_fleet(assignments, inputs)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -191,7 +193,7 @@ class TestCompatibilityAndCompiler:
         from repro.nn import make_mlp
 
         big = make_mlp(12, 4, hidden=(512, 512, 256), seed=0)
-        tiny_profile = get_profile("mcu-m0").with_overrides(flash_bytes=1024, supported_ops=frozenset({"dense", "relu"}))
+        tiny_profile = dataclasses.replace(get_profile("mcu-m0"), flash_bytes=1024, supported_ops=frozenset({"dense", "relu"}))
         report = CompatibilityChecker().check(from_sequential(big), tiny_profile)
         assert "flash" in report.issue_kinds()
 

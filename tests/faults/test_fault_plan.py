@@ -259,8 +259,8 @@ def test_shard_fault_lookup():
 
 
 def test_from_seed_builds_generated_plan():
-    inj = FaultInjector.from_seed(
-        4, device_ids=DEVICES, client_ids=CLIENTS, n_windows=3, n_rounds=2
+    inj = FaultInjector(
+        FaultPlan.generate(4, device_ids=DEVICES, client_ids=CLIENTS, n_windows=3, n_rounds=2)
     )
     assert inj.plan == FaultPlan.generate(
         4, device_ids=DEVICES, client_ids=CLIENTS, n_windows=3, n_rounds=2

@@ -9,7 +9,6 @@ from repro.data import drop_labels, make_gaussian_blobs, partition_dirichlet, pa
 from repro.federated import (
     ClientUpdate,
     EligibilityScheduler,
-    EnergyAwareScheduler,
     FedAdamAggregator,
     FedAvgAggregator,
     FederatedClient,
@@ -220,13 +219,3 @@ class TestSchedulers:
         }
         picked = sched.select(list(ctx), 0, context=ctx)
         assert picked == ["good"]
-
-    def test_energy_aware_prefers_plugged(self):
-        sched = EnergyAwareScheduler(max_clients=2)
-        ctx = {
-            "plugged": self._context(plugged=True, soc=0.5),
-            "full_battery": self._context(plugged=False, soc=0.95),
-            "low": self._context(plugged=False, soc=0.2),
-        }
-        picked = sched.select(list(ctx), 0, context=ctx)
-        assert picked[0] == "plugged" and "low" not in picked

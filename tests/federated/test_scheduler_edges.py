@@ -9,7 +9,6 @@ import pytest
 from repro.data import make_gaussian_blobs, partition_iid
 from repro.federated import (
     EligibilityScheduler,
-    EnergyAwareScheduler,
     FederatedClient,
     FederatedEngine,
     RandomScheduler,
@@ -98,28 +97,6 @@ class TestEligibilitySchedulerEdges:
         b = EligibilityScheduler(max_clients=5, seed=3)
         for r in range(4):
             assert a.select(list(contexts), r, context=contexts) == b.select(list(contexts), r, context=contexts)
-
-
-class TestEnergyAwareSchedulerEdges:
-    def test_malformed_soc_ranks_last_not_crash(self):
-        contexts = {
-            "good": _ctx(plugged=False, soc=0.8),
-            "junk": {"network_online": True, "state_of_charge": object()},
-            "none": {"network_online": True, "state_of_charge": None},
-        }
-        picked = EnergyAwareScheduler(max_clients=3).select(list(contexts), 0, context=contexts)
-        assert picked[0] == "good" and set(picked) == set(contexts)
-
-    def test_none_context_entries_are_offline(self):
-        contexts = {"a": None, "b": _ctx()}
-        assert EnergyAwareScheduler(max_clients=2).select(list(contexts), 0, context=contexts) == ["b"]
-
-    def test_empty_everything(self):
-        assert EnergyAwareScheduler(max_clients=3).select([], 0, context={}) == []
-
-    def test_invalid_max_clients(self):
-        with pytest.raises(ValueError):
-            EnergyAwareScheduler(max_clients=0)
 
 
 class TestSchedulerEngineInteraction:

@@ -11,12 +11,11 @@ from repro.devices import Fleet
 from repro.lifecycle import (
     GateCheck,
     LifecycleConfig,
-    bad_architecture_candidate,
     default_gates,
     degraded_candidate,
     oversized_candidate,
 )
-from repro.nn import make_mlp
+from repro.nn import Dense, make_mlp
 
 
 def build_world(seed: int = 21, n_devices: int = 12):
@@ -37,6 +36,17 @@ def build_world(seed: int = 21, n_devices: int = 12):
     )
     clients = partition_dirichlet(train, 6, alpha=0.7, seed=seed)
     return platform, train, test, clients
+
+
+def bad_architecture_candidate(incumbent, seed: int = 0):
+    """A candidate whose input width does not match the deployment.
+
+    Serving it raises at the first canary window, so the architecture gate
+    must catch and roll it back.
+    """
+    dense = [layer for layer in incumbent.layers if isinstance(layer, Dense)]
+    in_dim, out_dim = dense[0].params["W"].shape[0], dense[-1].params["W"].shape[1]
+    return make_mlp(in_dim + 3, out_dim, hidden=(8,), seed=seed, name=incumbent.name)
 
 
 def build_pipeline(platform, test, clients, **overrides):

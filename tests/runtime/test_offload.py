@@ -4,6 +4,8 @@ module."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,7 @@ class TestFindBestSplit:
 
     def test_all_cloud_when_edge_is_hopeless(self):
         """A crippled edge device over a fast link offloads everything."""
-        slow_edge = get_profile("mcu-m4").with_overrides(peak_flops=1e3)
+        slow_edge = dataclasses.replace(get_profile("mcu-m4"), peak_flops=1e3)
         decision = find_best_split(self._graph(), slow_edge, get_profile("cloud"), _wifi())
         assert decision.split_after == -1
         assert decision.edge_latency_s == 0.0

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from repro.billing import BillingBackend, PricingPlan, UsageLedger
 from repro.federated import QuantizedCompressor, SignSGDCompressor, TernaryCompressor, TopKSparsifier
 from repro.nn.activations import log_softmax, softmax
-from repro.observability import RunningMoments, StreamingHistogram
+from repro.observability import RunningMoments
 from repro.optimize import dequantize_array, fake_quantize, quantize_array
 from repro.verification import MerkleTree, freivalds_check
 
@@ -62,23 +62,6 @@ def test_running_moments_merge_is_order_independent(a, b):
     assert left.count == bulk.count
     assert left.mean == pytest.approx(bulk.mean, rel=1e-9, abs=1e-9)
     assert left.variance == pytest.approx(bulk.variance, rel=1e-6, abs=1e-9)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    arrays(np.float64, shape=st.integers(1, 400), elements=st.floats(-5, 5, allow_nan=False)),
-    arrays(np.float64, shape=st.integers(1, 400), elements=st.floats(-5, 5, allow_nan=False)),
-)
-def test_histogram_merge_equals_bulk(a, b):
-    h1 = StreamingHistogram(-5, 5, bins=20)
-    h2 = StreamingHistogram(-5, 5, bins=20)
-    bulk = StreamingHistogram(-5, 5, bins=20)
-    h1.update(a)
-    h2.update(b)
-    bulk.update(np.concatenate([a, b]))
-    h1.merge(h2)
-    np.testing.assert_array_equal(h1.counts, bulk.counts)
-    assert h1.total == bulk.total
 
 
 @settings(max_examples=25, deadline=None)

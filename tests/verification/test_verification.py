@@ -15,7 +15,6 @@ from repro.verification import (
     commit_model_weights,
     freivalds_check,
     slalom_partition,
-    verify_weight_chunk,
 )
 
 
@@ -71,7 +70,7 @@ class TestMerkle:
 
     def test_model_commitment_and_chunk_audit(self, trained_mlp):
         root, tree, chunks = commit_model_weights(trained_mlp, chunk_size=1024)
-        assert verify_weight_chunk(chunks[0], 0, tree.proof(0), root)
+        assert MerkleTree.verify_proof(chunks[0], 0, tree.proof(0), root)
         # A model with different weights commits to a different root.
         other = trained_mlp.clone(copy_weights=True)
         other.layers[0].params["W"] += 1e-3
