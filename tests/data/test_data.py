@@ -142,6 +142,16 @@ class TestFederatedPartitioning:
         distinct = [len(np.unique(c.y)) for c in clients]
         assert max(distinct) <= 4
 
+    def test_label_distribution_is_normalized_over_all_classes(self):
+        ds = make_gaussian_blobs(400, 4, 4, seed=0)
+        client = partition_shards(ds, 4, shards_per_client=1, seed=0)[0]
+        dist = client.label_distribution(6)
+        assert dist.shape == (6,) and dist.sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(dist, np.bincount(client.y, minlength=6) / len(client.y))
+        assert dist[4:].tolist() == [0.0, 0.0]
+        empty = drop_labels(client, 1.0, seed=0)
+        assert len(empty.y) == 0 and empty.label_distribution(6).tolist() == [0.0] * 6
+
     def test_drop_labels_moves_samples(self):
         ds = make_gaussian_blobs(400, 4, 4, seed=0)
         client = partition_iid(ds, 2, seed=0)[0]

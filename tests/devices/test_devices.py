@@ -1,4 +1,4 @@
-"""Tests for device profiles, cost models, battery, network, fleet and DES kernel."""
+"""Tests for device profiles, cost models, battery, network and fleet."""
 
 from __future__ import annotations
 
@@ -245,6 +245,17 @@ class TestFleetAndEvents:
         device.install(InstalledArtifact("m", "2", size_bytes=2000))
         assert device.installed["m"].version == "2"
 
+    def test_uninstall_frees_flash_and_ignores_unknown_ids(self):
+        device = EdgeDevice("d1", get_profile("mcu-m4"))
+        full = device.free_flash()
+        device.install(InstalledArtifact("m", "1", size_bytes=1000))
+        device.install(InstalledArtifact("k", "1", size_bytes=300))
+        device.uninstall("m")
+        assert set(device.installed) == {"k"} and device.free_flash() == full - 300
+        device.uninstall("m")
+        device.uninstall("never-installed")
+        assert device.free_flash() == full - 300
+
     def test_execute_drains_battery_and_logs(self, trained_mlp):
         device = EdgeDevice("d1", get_profile("mcu-m4"))
         cost = CostModel().model_inference_cost(device.profile, trained_mlp)
@@ -265,3 +276,16 @@ class TestFleetAndEvents:
         fleet = Fleet.random(40, seed=3)
         assert all(d.network.online for d in fleet.online())
         assert set(fleet.summary()) >= {"n_devices", "classes", "online_fraction"}
+
+    def test_rows_for_matches_row_of_in_the_given_order(self):
+        fleet = Fleet.random(12, seed=4)
+        ids = [d.device_id for d in fleet]
+        assert [fleet.row_of(i) for i in ids] == list(range(12))
+        picked = [ids[7], ids[2], ids[7], ids[0]]
+        rows = fleet.rows_for(picked)
+        assert rows.dtype == np.intp and rows.tolist() == [7, 2, 7, 0]
+        assert fleet.rows_for([]).tolist() == []
+        with pytest.raises(KeyError):
+            fleet.row_of("ghost")
+        with pytest.raises(KeyError):
+            fleet.rows_for([ids[0], "ghost"])

@@ -207,6 +207,15 @@ class TestCompatibilityAndCompiler:
         artifact = Compiler().compile(from_sequential(trained_mlp), get_profile("mcu-m0"), bits=4)
         assert artifact.bits == 8  # mcu-m0 only has 8-bit kernels
 
+    def test_select_bits_prefers_request_then_closest_narrower_then_widest(self):
+        select = Compiler().select_bits
+        assert select(get_profile("phone-mid"), 16) == 16  # supported: kept
+        assert select(get_profile("mcu-m4"), 16) == 8  # widest supported width under the request
+        assert select(get_profile("phone-mid"), 4) == 8  # nothing narrower: smallest supported
+        assert select(get_profile("phone-mid")) == 32 and select(get_profile("sensor-dsp")) == 8
+        wide_only = dataclasses.replace(get_profile("cloud"), supported_bitwidths=frozenset({64}))
+        assert select(wide_only) == 32 and select(wide_only, 8) == 32
+
     def test_compiler_raises_on_unsupported(self, trained_cnn):
         with pytest.raises(CompilationError):
             Compiler().compile(from_sequential(trained_cnn), get_profile("mcu-m0"))

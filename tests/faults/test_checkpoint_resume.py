@@ -189,6 +189,40 @@ def test_checkpoint_digest_covers_cohort_bytes():
     assert build(1.0).digest() != build(2.0).digest()
 
 
+def test_meta_bytes_round_trip_through_from_meta():
+    for delivered, tx, sched in [(None, None, None), ((3, 0, 5), (1, 2, 1), {"rng": [1, 2]})]:
+        ckpt = RoundCheckpoint(
+            round_index=2,
+            model_digest="m",
+            selected=("a", "b", "c"),
+            contributors=("a", "c"),
+            stragglers=("b",),
+            counts={"n_dropouts": np.int64(1), "n_retries": 0},
+            delivered_rows=delivered,
+            tx_counts=tx,
+            scheduler_state=sched,
+        )
+        back = RoundCheckpoint.from_meta(ckpt.meta_bytes())
+        assert back == ckpt and back.meta_bytes() == ckpt.meta_bytes()
+        assert back.digest() == ckpt.digest() and back.n_cohorts_done == 0
+
+
+def test_restore_cohort_adopts_a_recorded_frame_bit_for_bit():
+    rng = np.random.default_rng(0)
+    meta = dict(round_index=0, model_digest="m", selected=("a",), contributors=("a",), stragglers=(), counts={})
+    recorded = RoundCheckpoint(**meta)
+    recorded.record_cohort(3, [4, 1], rng.normal(size=(2, 5)), rng.random(2), rng.random(2))
+    frame = b"".join(a.tobytes() for a in recorded.cohort_frame(3))
+    restored = RoundCheckpoint(**meta)
+    restored.restore_cohort(3, frame, 2, 5, recorded.cohort_digests[3])
+    for got, want in zip(restored.cohort_frame(3), recorded.cohort_frame(3)):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert restored.digest() == recorded.digest()
+    with pytest.raises(ValueError, match="cohort frame holds"):
+        RoundCheckpoint(**meta).restore_cohort(3, frame + b"\0" * 8, 2, 5, recorded.cohort_digests[3])
+
+
 def test_interrupted_plan_minus_interrupts_is_the_reference_run():
     """dataclasses.replace(plan, interrupts=()) == the uninterrupted world."""
     plan = FaultPlan.generate(

@@ -22,7 +22,18 @@ from repro.faults import (
     FaultRates,
     RoundCheckpoint,
 )
-from repro.persist import IntegrityError, atomic_write_bytes, read_bytes_verified
+from repro.persist import (
+    IntegrityError,
+    append_synced,
+    atomic_write_bytes,
+    atomic_write_json,
+    ensure_dir,
+    pwrite_synced,
+    read_bytes_verified,
+    read_json_verified,
+    recording,
+    truncate_file,
+)
 
 
 def _ckpt(round_index=0, model_digest="m", positions=(0, 1)):
@@ -163,6 +174,61 @@ class TestPersistPrimitives:
         with pytest.raises(OSError):
             atomic_write_bytes(str(blocker / "blob.bin"), b"x")
         assert list(tmp_path.iterdir()) == [blocker]
+
+    def test_verified_read_rejects_a_flipped_byte_and_a_missing_file(self, tmp_path):
+        path = str(tmp_path / "blob.bin")
+        digest = atomic_write_bytes(path, b"payload")
+        with open(path, "r+b") as fh:
+            fh.write(b"P")
+        with pytest.raises(IntegrityError, match="digest mismatch") as exc_info:
+            read_bytes_verified(path, digest, 7)
+        assert exc_info.value.expected == digest and exc_info.value.path == path
+        with pytest.raises(IntegrityError, match="missing"):
+            read_bytes_verified(str(tmp_path / "absent.bin"))
+
+    def test_verified_read_of_an_extent(self, tmp_path):
+        path = str(tmp_path / "blob.bin")
+        atomic_write_bytes(path, b"headerPAYLOADtrailer")
+        assert read_bytes_verified(path, expected_size=7, offset=6) == b"PAYLOAD"
+        with pytest.raises(IntegrityError, match="truncated"):
+            read_bytes_verified(path, expected_size=7, offset=16)
+
+    def test_json_round_trip_and_unparseable_json(self, tmp_path):
+        path = str(tmp_path / "doc.json")
+        digest = atomic_write_json(path, {"b": [1, 2], "a": np.int64(3)})
+        assert read_json_verified(path, digest) == {"a": 3, "b": [1, 2]}
+        atomic_write_bytes(path, b'{"a": ')
+        with pytest.raises(IntegrityError, match="unparseable"):
+            read_json_verified(path)
+
+    def test_append_pwrite_and_truncate(self, tmp_path):
+        path = str(tmp_path / "log" / "segment.bin")
+        assert append_synced(path, b"abc").st_size == 3
+        assert append_synced(path, b"defg").st_size == 7
+        pwrite_synced(path, [(1, [b"X", b"Y"]), (6, [b"Z"])])
+        assert read_bytes_verified(path) == b"aXYdefZ"
+        truncate_file(path, 4)
+        assert read_bytes_verified(path) == b"aXYd"
+
+    def test_recording_logs_the_durable_schedule(self, tmp_path):
+        nested = str(tmp_path / "a" / "b")
+        path = os.path.join(nested, "f.bin")
+        with recording() as ops:
+            ensure_dir(nested)
+            append_synced(path, b"xy")
+            truncate_file(path, 1)
+        assert ops == [
+            ("mkdir", str(tmp_path / "a")),
+            ("dir-fsync", str(tmp_path)),
+            ("mkdir", nested),
+            ("dir-fsync", str(tmp_path / "a")),
+            ("write", path, 0, b"xy"),
+            ("fsync", path),
+            ("dir-fsync", nested),
+            ("truncate", path, 1),
+        ]
+        append_synced(path, b"z")  # outside the block: nothing more is logged
+        assert len(ops) == 8
 
 
 class TestPlanAndLedgerPersistence:

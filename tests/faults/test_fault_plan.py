@@ -116,6 +116,17 @@ def test_retry_policy_validation():
         RetryPolicy(deadline_s=0.0)
 
 
+def test_backoff_without_jitter_is_exact_and_zero_base_never_waits():
+    exact = RetryPolicy(base_delay_s=0.5, multiplier=3.0, jitter=0.0)
+    assert [exact.backoff_s(k, seed=1) for k in range(4)] == [0.5, 1.5, 4.5, 13.5]
+    assert RetryPolicy(base_delay_s=0.0, jitter=0.5).backoff_s(5, seed=1) == 0.0
+    jittered = RetryPolicy(base_delay_s=0.5, multiplier=3.0, jitter=0.25)
+    for k in range(4):
+        wait = jittered.backoff_s(k, seed=[7, k])
+        assert wait == jittered.backoff_s(k, seed=(7, k))
+        assert 0.75 * exact.backoff_s(k, seed=0) <= wait <= 1.25 * exact.backoff_s(k, seed=0)
+
+
 def test_backoff_schedule_is_seeded_and_exponential():
     policy = RetryPolicy(max_attempts=4, base_delay_s=1.0, multiplier=2.0, jitter=0.5)
     assert policy.schedule(seed=9) == policy.schedule(seed=9)

@@ -12,9 +12,11 @@ from repro.nn import (
     Sequential,
     accuracy,
     agreement,
+    batch_iterator,
     binary_cross_entropy,
     distillation_loss,
     get_activation,
+    get_initializer,
     get_loss,
     get_optimizer,
     make_autoencoder,
@@ -22,10 +24,12 @@ from repro.nn import (
     make_mlp,
     make_multi_fidelity_family,
     make_tiny_cnn,
+    mae,
     mse,
     softmax,
     softmax_cross_entropy,
 )
+from repro.nn.activations import _REGISTRY as ACTIVATIONS
 from repro.nn.layers import Dense
 
 
@@ -87,6 +91,25 @@ class TestLosses:
         with pytest.raises(KeyError):
             get_loss("nope")
 
+    @pytest.mark.parametrize("loss_fn", [mse, mae, binary_cross_entropy], ids=lambda f: f.__name__)
+    def test_elementwise_loss_gradient_numeric(self, loss_fn, rng):
+        # Predictions in (0.1, 0.9) keep BCE off its clip, and |pred - target|
+        # = 0.3 keeps MAE off its kink.
+        pred = rng.uniform(0.1, 0.9, size=(4, 3))
+        if loss_fn is binary_cross_entropy:
+            target = np.where(pred > 0.5, 0.0, 1.0)
+        else:
+            target = pred + rng.choice([-0.3, 0.3], size=pred.shape)
+        _, grad = loss_fn(pred, target)
+        eps = 1e-6
+        numeric = np.zeros_like(pred)
+        for idx in np.ndindex(pred.shape):
+            plus, minus = pred.copy(), pred.copy()
+            plus[idx] += eps
+            minus[idx] -= eps
+            numeric[idx] = (loss_fn(plus, target)[0] - loss_fn(minus, target)[0]) / (2 * eps)
+        np.testing.assert_allclose(grad, numeric, atol=1e-6)
+
 
 # ---------------------------------------------------------------------------
 # optimizers
@@ -129,6 +152,56 @@ def test_invalid_lr():
 
 
 # ---------------------------------------------------------------------------
+# activations and initializers
+# ---------------------------------------------------------------------------
+
+# Kinks of the piecewise activations; samples keep clear of them.
+_KINKS = np.array([-2.5, 0.0, 2.5, 6.0])
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+def test_activation_grad_matches_finite_difference(name, rng):
+    forward, grad = get_activation(name)
+    x = rng.uniform(-8.0, 8.0, size=200)
+    x = x[np.abs(x[:, None] - _KINKS).min(axis=1) > 1e-3]
+    eps = 1e-6
+    numeric = (forward(x + eps) - forward(x - eps)) / (2 * eps)
+    np.testing.assert_allclose(grad(x, forward(x)), numeric, atol=1e-6)
+
+
+# name -> (variance as a function of (fan_in, fan_out), uniform limit or None)
+_FAN_SCALED = {
+    "glorot_uniform": (lambda i, o: 2.0 / (i + o), lambda i, o: np.sqrt(6.0 / (i + o))),
+    "glorot_normal": (lambda i, o: 2.0 / (i + o), None),
+    "he_uniform": (lambda i, o: 2.0 / i, lambda i, o: np.sqrt(6.0 / i)),
+    "he_normal": (lambda i, o: 2.0 / i, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAN_SCALED))
+def test_fan_scaled_initializer_variance(name):
+    fan_in, fan_out = 300, 100
+    variance, limit = _FAN_SCALED[name]
+    w = get_initializer(name)((fan_in, fan_out), np.random.default_rng(0))
+    assert w.shape == (fan_in, fan_out)
+    assert abs(w.mean()) < 0.01
+    assert w.var() == pytest.approx(variance(fan_in, fan_out), rel=0.05)
+    if limit is not None:
+        assert np.abs(w).max() <= limit(fan_in, fan_out)
+
+
+def test_get_initializer_resolves_names_and_passes_callables():
+    def sevens(shape, rng=None):
+        return np.full(shape, 7.0)
+
+    assert get_initializer("He_Normal") is get_initializer("he_normal")
+    assert get_initializer(sevens) is sevens
+    np.testing.assert_array_equal(get_initializer("ones")((2, 3)), np.ones((2, 3)))
+    with pytest.raises(KeyError):
+        get_initializer("lecun_magic")
+
+
+# ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
 
@@ -165,6 +238,25 @@ class TestSequential:
     def test_flat_weights_wrong_size(self, trained_mlp):
         with pytest.raises(ValueError):
             trained_mlp.set_flat_weights(np.zeros(3))
+
+    def test_train_step_lowers_the_batch_loss(self, blobs):
+        train, _ = blobs
+        model = make_mlp(12, 4, hidden=(16,), seed=2)
+        xb, yb = train.x[:32], train.y[:32]
+        optimizer = get_optimizer("sgd", lr=0.05)
+        losses = [model.train_step(xb, yb, softmax_cross_entropy, optimizer) for _ in range(20)]
+        assert all(np.isfinite(losses)) and losses[-1] < 0.8 * losses[0]
+
+    def test_batch_iterator_covers_each_row_once(self):
+        x = np.arange(23, dtype=np.float64)[:, None]
+        y = np.arange(23)
+        batches = list(batch_iterator(x, y, 5, rng=np.random.default_rng(0)))
+        assert [len(xb) for xb, _ in batches] == [5, 5, 5, 5, 3]
+        seen = np.concatenate([yb for _, yb in batches])
+        assert sorted(seen.tolist()) == list(range(23)) and seen.tolist() != list(range(23))
+        assert all(np.array_equal(xb[:, 0], yb) for xb, yb in batches)
+        in_order = list(batch_iterator(x, None, 10))
+        assert [xb[0, 0] for xb, _ in in_order] == [0.0, 10.0, 20.0] and in_order[0][1] is None
 
     def test_serialization_roundtrip(self, trained_mlp, blobs):
         _, test = blobs

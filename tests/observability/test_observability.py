@@ -109,6 +109,17 @@ class TestSketches:
         assert a.mean == pytest.approx(c.mean)
         assert a.variance == pytest.approx(c.variance, rel=1e-9)
 
+    def test_running_moments_merge_stats_with_empty_sides(self, rng):
+        values = rng.normal(size=50)
+        m = RunningMoments()
+        m.merge_stats(0, 123.0, 456.0)
+        assert m.count == 0
+        m.merge_stats(len(values), float(values.mean()), float(((values - values.mean()) ** 2).sum()))
+        assert m.count == 50 and m.mean == pytest.approx(values.mean())
+        assert m.variance == pytest.approx(values.var(), rel=1e-12)
+        before = m.as_dict()
+        assert m.merge_stats(0, 99.0, 99.0) is m and m.as_dict() == before
+
     def test_reservoir_capacity_and_coverage(self, rng):
         r = ReservoirSample(capacity=100, seed=0)
         r.update(np.arange(10000))
@@ -206,6 +217,24 @@ class TestMonitorAndAlerts:
         assert monitor.any_drift()
         report = monitor.build_report()
         assert report.n_queries == 16 * 96
+
+    def test_drift_events_since_hands_each_event_out_once(self):
+        ds = make_gaussian_blobs(2000, 8, 3, seed=0)
+        monitor = EdgeMonitor("dev-1", ds.x[:400], detectors=("ks",))
+        stream = DriftingStream(ds, batch_size=96, specs=[DriftSpec(start=4, magnitude=2.5)], seed=3)
+        batches = [x for x, _, _ in stream.batches(10)]
+        for x in batches[:6]:
+            monitor.observe_window(x)
+        first, cursor = monitor.drift_events_since()
+        assert first and cursor == len(first) == len(monitor.drift_events)
+        assert [e["window"] for e in first] == sorted(e["window"] for e in first) and first[0]["window"] >= 4
+        assert monitor.drift_events_since(cursor) == ([], cursor)
+        for x in batches[6:]:
+            monitor.observe_window(x)
+        later, new_cursor = monitor.drift_events_since(cursor)
+        assert first + later == monitor.drift_events and new_cursor == len(monitor.drift_events)
+        assert all(e["window"] >= 6 for e in later)
+        assert monitor.drift_events_since(-5)[0] == monitor.drift_events
 
     def test_edge_monitor_unknown_detector(self):
         with pytest.raises(KeyError):

@@ -28,6 +28,14 @@ class TestArtifactStore:
         b = store.put(b"same")
         assert a.digest == b.digest and len(store) == 1
 
+    def test_total_bytes_counts_each_distinct_payload_once(self):
+        store = ArtifactStore()
+        assert store.total_bytes() == 0
+        store.put(b"abc")
+        store.put(b"abc", name="again")
+        store.put(b"defgh")
+        assert store.total_bytes() == 8
+
     def test_object_roundtrip(self):
         store = ArtifactStore()
         record = store.put_object({"a": 1})
@@ -107,6 +115,38 @@ class TestModelRegistry:
         grandchild = registry.register_model(trained_mlp, kind="watermarked", parents=(child.version_id,))
         descendants = {v.version_id for v in registry.derived_from(base.version_id)}
         assert descendants == {child.version_id, grandchild.version_id}
+
+    def test_versions_of_oldest_first_and_load_bytes(self, trained_mlp):
+        registry = ModelRegistry()
+        other = make_mlp(4, 2, hidden=(3,), seed=0, name="other")
+        base = registry.register_model(trained_mlp)
+        registry.register_model(other)
+        quant = registry.register_model(trained_mlp, kind="quantized", parents=(base.version_id,))
+        base2 = registry.register_model(trained_mlp)
+        assert [v.version_id for v in registry.versions_of(trained_mlp.name)] == [
+            base.version_id, quant.version_id, base2.version_id
+        ]
+        assert [v.version_id for v in registry.versions_of(trained_mlp.name, kind="base")] == [
+            base.version_id, base2.version_id
+        ]
+        assert registry.versions_of("nobody") == []
+        assert registry.load_bytes(quant.version_id) == trained_mlp.to_bytes()
+        with pytest.raises(KeyError):
+            registry.load_bytes("ghost:1")
+
+    def test_tags_merge_and_stage_selects_production(self, trained_mlp):
+        registry = ModelRegistry()
+        v1 = registry.register_model(trained_mlp, tags={"owner": "ml"})
+        v2 = registry.register_model(trained_mlp)
+        assert registry.production(trained_mlp.name) is None
+        registry.tag_version(v1.version_id, accuracy=0.9)
+        assert registry.set_stage(v1.version_id, "production").tags == {"owner": "ml", "accuracy": 0.9, "stage": "production"}
+        registry.set_stage(v2.version_id, "candidate")
+        assert registry.production(trained_mlp.name).version_id == v1.version_id
+        registry.set_stage(v2.version_id, "production")
+        assert registry.production(trained_mlp.name).version_id == v2.version_id
+        with pytest.raises(KeyError):
+            registry.set_stage("ghost:1", "production")
 
     def test_unknown_parent_rejected(self, trained_mlp):
         registry = ModelRegistry()
