@@ -5,13 +5,14 @@ item 1).
 Every identity suite compares engine A with engine B inside one commit; a
 refactor that shifts all engines alike passes them all.  These worlds are
 driven through the public API and compared with ``round_pins.*`` (federated
-rounds) and ``serving_pins.*`` (``serve_fleet`` windows, ledgers, monitors):
+rounds), ``serving_pins.*`` (``serve_fleet`` windows, ledgers, monitors)
+and ``ledger_pins.*`` (a ledger's export and persisted segment bytes):
 exact for discrete artefacts (participants, integer result and report
 fields, scheduler RNG stream, checkpoint and plan digests, ledger head MACs,
 drift events), and for floats (weights, losses, battery ``level_j``, drift
 statistics, telemetry summaries) bit-exact on the recording NumPy,
 ``rtol=1e-12`` elsewhere.  ``python -m tests.pins --update`` rewrites all
-four files, and ``state/crash_schedule.json`` (the durable store's op
+six files, and ``state/crash_schedule.json`` (the durable store's op
 schedule, see ``tests/faults/test_crash_states.py``); a diff in a recorded world is a behaviour change and the PR
 title says so (appending worlds is not).  Lifecycle decision record ids are
 not pinned yet: they wait for the slice that stops pickling them (ROADMAP
@@ -22,6 +23,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import pickle
 import sys
 from pathlib import Path
 
@@ -33,6 +35,7 @@ for _path in (_HERE.parents[1] / "src", _HERE.parent / "runtime"):
         sys.path.insert(0, str(_path))
 
 from _sharded_worlds import federated_world, serving_world  # noqa: E402
+from repro.billing import BillingBackend, PricingPlan, UsageLedger  # noqa: E402
 from repro.devices import Fleet  # noqa: E402
 from repro.faults import CheckpointStore, FaultInjector, FaultPlan, FaultRates, RoundInterrupted  # noqa: E402
 from repro.federated import (  # noqa: E402
@@ -48,6 +51,7 @@ from repro.federated import (  # noqa: E402
     TrimmedMeanAggregator,
 )
 from repro.nn.optimizers import get_optimizer  # noqa: E402
+from repro.persist import canonical_json  # noqa: E402
 from repro.runtime.sharded import ShardedFleetRunner  # noqa: E402
 
 N_CLIENTS = 12
@@ -213,8 +217,63 @@ def capture_serving(world):
     return discrete, np.concatenate([np.asarray(f, dtype=np.float64).ravel() for f in floats])
 
 
+LEDGER_WORLDS = ["two-grant", "two-model-merged"]
+
+
+def _ledger(grants):
+    """An enrolled device's ledger with ``grants`` ([(model, quota)]) installed."""
+    backend = BillingBackend()
+    for model in sorted({model for model, _ in grants}):
+        backend.register_plan(PricingPlan(model))
+    ledger = UsageLedger("dev-7", backend.enroll_device("dev-7"))
+    for model, quota in grants:
+        ledger.add_grant(backend.sell_package("dev-7", model, quota), backend_key=backend.signing_key())
+    return ledger
+
+
+def capture_ledger(world):
+    """Meter one ledger; returns its exported and persisted bytes.
+
+    ``export`` is the canonical JSON of ``ledger.export()`` (the sync
+    upload), ``segment`` that of ``[entry.to_dict() ...]`` for the entries
+    ``export_segment`` hands to durable segment persistence; the floats are
+    the chain's timestamps."""
+    if world == "two-grant":
+        ledger = _ledger([("vision", 6), ("vision", 40)])
+        ledger.record_query("vision")
+        ledger.record_query("vision")
+        ledger.record_batch("vision", 9)  # spills from the first grant into the second
+        ledger.record_query("vision", timestamp=0.1)
+        ledger.record_batch("vision", 3, timestamp=1e16)
+        ledger.record_batch("vision", 100)  # truncated to the 31 left
+        start = 2
+    else:
+        ledger = _ledger([("vision", 5), ("audio", 20), ("vision", 50)])
+        ledger.record_batch("audio", 4)
+        ledger.record_query("vision")
+        ledger.record_batch("vision", 7)
+        start = len(ledger.entries)
+        head = ledger.fork_head()  # as a sharded worker meters a window
+        for model, n in (("audio", 30), ("vision", 2), ("vision", 1)):
+            head.record_batch(model, n)
+        ledger.append_segment(pickle.loads(pickle.dumps(head.export_segment(0))))
+    discrete = {
+        "export": canonical_json(ledger.export()).decode(),
+        "segment": canonical_json([entry.to_dict() for entry in ledger.export_segment(start)]).decode(),
+        "head_mac": ledger.head_mac(),
+        "used": ledger.used(),
+    }
+    return discrete, np.array([entry.timestamp for entry in ledger.entries], dtype=np.float64)
+
+
 # family -> (worlds, capture); recorded in <family>_pins.json / .npy
-FAMILIES = {"round": (WORLDS, capture), "serving": (SERVING_WORLDS, capture_serving)}
+FAMILIES = {
+    "round": (WORLDS, capture),
+    "serving": (SERVING_WORLDS, capture_serving),
+    # appended before the ledger's storage became columns: exported and
+    # persisted ledger bytes must not move with it
+    "ledger": (LEDGER_WORLDS, capture_ledger),
+}
 
 
 def paths(family):
