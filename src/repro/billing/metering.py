@@ -32,6 +32,28 @@ metering is most of an unmonitored serving window.  Bools, NumPy scalars,
 int or str timestamps, nan/±inf and non-``str`` ids fall back to the
 ``json.dumps`` body, which is the spec.
 
+A ledger must fit in device memory until the next sync, so a
+:class:`UsageLedger` stores its chain as columns rather than one object per
+entry: the raw 32-byte HMAC of each entry as one row of a ``bytearray``, its
+timestamp in an ``array('d')``, its query count in an ``array('q')`` and the
+id of its (grant id, model name) pair in an ``array('I')`` over a small
+intern table.  Metering 20 000 entries retains about 53 bytes an entry,
+over-allocation included, where a list of :class:`LedgerEntry` objects with
+their hex MACs, boxed timestamps and boxed indices retained about 245
+(``tracemalloc``; ``tests/billing/test_ledger_columns.py``).  An entry's index
+is its position and its ``prev_mac`` the row before it (``GENESIS`` for the
+first), so neither is stored; the head MAC's hex string is kept because the
+next entry's payload needs it.  Metering, ``used``, ``verify_chain`` and
+``export`` read and write the columns directly.  ``ledger.entries`` is a
+read-only view that builds :class:`LedgerEntry` objects on access, equal
+field for field to the ones the chain was metered as.
+
+:class:`LedgerEntry` stays the type that entries travel in between ledgers:
+the segments a sharded worker ships back (:meth:`UsageLedger.export_segment`
+/ :meth:`UsageLedger.append_segment`) and durable segment persistence
+(``to_dict`` / ``from_dict``).  An entry's exported dict, its persisted
+record and every MAC are the same bytes either way.
+
 A genuinely tamper-*proof* meter requires secure hardware (the paper cites
 an offline-payment system [30]); DESIGN.md documents this substitution.
 """
@@ -41,9 +63,12 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import operator
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "QuotaGrant",
@@ -154,7 +179,13 @@ def entry_payload(
 @dataclass(frozen=True, slots=True)
 class LedgerEntry:
     """One metered query — or an aggregated batch of ``count`` queries —
-    in the hash chain."""
+    in the hash chain.
+
+    A ledger does not hold these: it stores its chain as columns and builds
+    an entry when ``ledger.entries`` is read.  Entries are how a chain
+    segment travels — from a sharded worker back to its parent ledger
+    (:meth:`UsageLedger.append_segment`) and to and from durable storage
+    (:meth:`to_dict` / :meth:`from_dict`)."""
 
     index: int
     grant_id: str
@@ -165,9 +196,9 @@ class LedgerEntry:
     count: int = 1
 
     def __reduce__(self):
-        # Rebuilt positionally: sharded workers pickle segments back and
-        # canaries deep-copy ledgers, and the slots dataclass' per-field
-        # ``__getstate__`` / ``__setstate__`` would make both ~2.5x slower.
+        # Rebuilt positionally: sharded workers pickle segments back, and
+        # the slots dataclass' per-field ``__getstate__`` / ``__setstate__``
+        # would make that ~2.5x slower.
         return type(self), (self.index, self.grant_id, self.model_name, self.timestamp,
                             self.prev_mac, self.mac, self.count)
 
@@ -207,6 +238,51 @@ class LedgerEntry:
         )
 
 
+_ROW = 32  # bytes of one raw HMAC-SHA256 row
+
+
+def _hmac(key: bytes, payload: bytes) -> bytes:
+    return hmac.digest(key, payload, "sha256")
+
+
+class _EntryView(Sequence):
+    """``ledger.entries``: the ledger's chain columns read as
+    :class:`LedgerEntry` objects, built on access.  Read-only and live (it
+    grows with the ledger); ``len`` is O(1), and it equals a list or view
+    holding equal entries."""
+
+    __slots__ = ("_ledger",)
+
+    def __init__(self, ledger: "UsageLedger") -> None:
+        self._ledger = ledger
+
+    def __len__(self) -> int:
+        return len(self._ledger._counts)
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(n))]
+        j = operator.index(i)
+        j = j + n if j < 0 else j
+        if not 0 <= j < n:
+            raise IndexError("ledger entry index out of range")
+        return next(self._ledger._entries(j, j + 1))
+
+    def __iter__(self) -> Iterator[LedgerEntry]:
+        return self._ledger._entries(0, len(self))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, _EntryView)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} entries of {self._ledger.device_id!r}>"
+
+
 class UsageLedger:
     """On-device, append-only, HMAC-chained usage log with quota enforcement.
 
@@ -214,11 +290,18 @@ class UsageLedger:
     :meth:`record_query` appends an entry whose MAC covers the previous
     entry's MAC, forming a chain: deleting or editing any entry invalidates
     all subsequent MACs, which the backend detects at reconciliation.
+
+    The chain is stored as columns, entry ``i`` in row ``i`` of each:
+    ``_macs`` (raw 32-byte MACs, one ``bytearray``), ``_timestamps``
+    (``array('d')``), ``_counts`` (``array('q')``) and ``_pair_ids``
+    (``array('I')``) indexing ``_pairs``, the (grant id, model name) pairs
+    in order of first use.  ``entries`` is a read-only view of them as
+    :class:`LedgerEntry` objects (see the module docstring).
     """
 
     GENESIS = "0" * 64
 
-    # Where this object's ``entries`` list starts in the device's chain.  A
+    # Where this object's chain columns start in the device's chain.  A
     # ledger holds the chain from genesis; only a :class:`LedgerHead`
     # overrides these (per instance) with its parent's length and head MAC.
     _base_index = 0
@@ -227,10 +310,21 @@ class UsageLedger:
     def __init__(self, device_id: str, device_key: bytes) -> None:
         self.device_id = device_id
         self._key = bytes(device_key)
-        self.entries: List[LedgerEntry] = []
+        self._macs = bytearray()
+        self._timestamps = array("d")
+        self._counts = array("q")
+        self._pair_ids = array("I")
+        self._pairs: List[Tuple[str, str]] = []
+        self._pair_id: Dict[Tuple[str, str], int] = {}
+        self._head_hex = self._base_mac
         self.grants: Dict[str, QuotaGrant] = {}
         self._used_per_grant: Dict[str, int] = {}
         self._clock = 0.0
+
+    @property
+    def entries(self) -> _EntryView:
+        """The chain as :class:`LedgerEntry` objects, built on access."""
+        return _EntryView(self)
 
     # -- grants ------------------------------------------------------------
     def add_grant(self, grant: QuotaGrant, backend_key: Optional[bytes] = None) -> None:
@@ -253,6 +347,32 @@ class UsageLedger:
             total += max(0, grant.n_queries - self._used_per_grant[grant.grant_id])
         return total
 
+    # -- chain columns ------------------------------------------------------
+    def _intern(self, grant_id: str, model_name: str) -> int:
+        """The id of a (grant id, model name) pair, added on first use."""
+        pair = (grant_id, model_name)
+        pair_id = self._pair_id.get(pair)
+        if pair_id is None:
+            pair_id = self._pair_id[pair] = len(self._pairs)
+            self._pairs.append(pair)
+        return pair_id
+
+    def _rows(self, start: int, stop: int) -> Iterator[tuple]:
+        """``LedgerEntry`` fields of entries ``start:stop``, in field order."""
+        hexes = self._macs[start * _ROW: stop * _ROW].hex()
+        prev = self._macs[(start - 1) * _ROW: start * _ROW].hex() if start else self._base_mac
+        pairs = self._pairs
+        for i, pair_id, timestamp, count in zip(
+            range(stop - start), self._pair_ids[start:stop], self._timestamps[start:stop], self._counts[start:stop]
+        ):
+            mac = hexes[2 * _ROW * i: 2 * _ROW * (i + 1)]
+            grant_id, model_name = pairs[pair_id]
+            yield self._base_index + start + i, grant_id, model_name, timestamp, prev, mac, count
+            prev = mac
+
+    def _entries(self, start: int, stop: int) -> Iterator[LedgerEntry]:
+        return (LedgerEntry(*row) for row in self._rows(start, stop))
+
     # -- metering ---------------------------------------------------------
     def _next_mac(
         self,
@@ -264,24 +384,27 @@ class UsageLedger:
         count: int = 1,
     ) -> str:
         payload = entry_payload(entry_index, grant_id, model_name, timestamp, prev_mac, count)
-        return hmac.new(self._key, payload, hashlib.sha256).hexdigest()
+        return _hmac(self._key, payload).hex()
 
-    def _append_entry(self, grant_id: str, model_name: str, timestamp: Optional[float], count: int) -> LedgerEntry:
-        self._clock += float(count)
-        ts = timestamp if timestamp is not None else self._clock
-        prev_mac = self.head_mac()
-        index = self._base_index + len(self.entries)
-        mac = self._next_mac(index, grant_id, model_name, ts, prev_mac, count)
-        entry = LedgerEntry(index, grant_id, model_name, ts, prev_mac, mac, count)
-        self.entries.append(entry)
+    def _append_entry(self, grant_id: str, model_name: str, timestamp: Optional[float], count: int) -> None:
+        clock = self._clock + float(count)
+        ts = timestamp if timestamp is not None else clock
+        index = self._base_index + len(self._counts)
+        mac = _hmac(self._key, entry_payload(index, grant_id, model_name, ts, self._head_hex, count))
+        self._counts.append(count)  # first: the only append that can raise (a count past int64)
+        self._timestamps.append(ts)
+        self._pair_ids.append(self._intern(grant_id, model_name))
+        self._macs += mac
+        self._head_hex = mac.hex()
+        self._clock = clock
         self._used_per_grant[grant_id] += count
-        return entry
 
     def record_query(self, model_name: str, timestamp: Optional[float] = None) -> LedgerEntry:
         """Meter one query, consuming quota from the oldest matching grant.
 
         Raises :class:`QuotaExceededError` when no quota remains — the
         application denies the inference in that case (paper Sec. III-C).
+        An explicit ``timestamp`` is stored (and MACed) as a ``float``.
         """
         grant_id = None
         for gid, grant in self.grants.items():
@@ -290,7 +413,8 @@ class UsageLedger:
                 break
         if grant_id is None:
             raise QuotaExceededError(f"no remaining quota for model {model_name!r} on {self.device_id}")
-        return self._append_entry(grant_id, model_name, timestamp, count=1)
+        self._append_entry(grant_id, model_name, None if timestamp is None else float(timestamp), count=1)
+        return self.entries[-1]
 
     def record_batch(self, model_name: str, n: int, timestamp: Optional[float] = None, partial: bool = True) -> int:
         """Meter up to ``n`` queries at once; returns the number granted.
@@ -304,7 +428,8 @@ class UsageLedger:
         truncated to the remaining quota and the granted count is returned,
         mirroring a per-query loop that denies each query past exhaustion.
         With ``partial=False`` the call raises :class:`QuotaExceededError`
-        without consuming anything unless the full batch fits.
+        without consuming anything unless the full batch fits.  An explicit
+        ``timestamp`` is stored (and MACed) as a ``float``.
         """
         if n < 0:
             raise ValueError("batch size must be non-negative")
@@ -314,6 +439,8 @@ class UsageLedger:
             raise QuotaExceededError(
                 f"quota for model {model_name!r} on {self.device_id} cannot cover a batch of {n}"
             )
+        if timestamp is not None:
+            timestamp = float(timestamp)
         granted = 0
         for gid, grant in self.grants.items():
             if granted >= n:
@@ -330,12 +457,15 @@ class UsageLedger:
 
     def used(self, model_name: Optional[str] = None) -> int:
         """Number of metered queries (optionally per model)."""
-        return sum(e.count for e in self.entries if model_name is None or e.model_name == model_name)
+        if model_name is None:
+            return sum(self._counts)
+        ids = {i for i, (_, model) in enumerate(self._pairs) if model == model_name}
+        return sum(count for pair_id, count in zip(self._pair_ids, self._counts) if pair_id in ids)
 
     # -- shard segments ----------------------------------------------------
     def head_mac(self) -> str:
         """The chain head: the last entry's MAC, or GENESIS when empty."""
-        return self.entries[-1].mac if self.entries else self._base_mac
+        return self._head_hex
 
     def fork_head(self) -> "LedgerHead":
         """A :class:`LedgerHead` of this ledger: all a worker needs to meter.
@@ -353,9 +483,10 @@ class UsageLedger:
         """The entries appended since this object held ``start`` of them
         (on a :class:`LedgerHead`, ``export_segment(0)`` is everything
         metered since the fork)."""
-        if not 0 <= start <= len(self.entries):
-            raise ValueError(f"segment start {start} outside chain of length {len(self.entries)}")
-        return list(self.entries[start:])
+        n = len(self._counts)
+        if not 0 <= start <= n:
+            raise ValueError(f"segment start {start} outside chain of length {n}")
+        return list(self._entries(start, n))
 
     def append_segment(self, entries: Sequence[LedgerEntry]) -> int:
         """Re-chain a segment produced by a forked copy of this ledger.
@@ -363,47 +494,54 @@ class UsageLedger:
         The segment must extend this ledger's chain exactly: each entry's
         index must continue the chain, its ``prev_mac`` must equal the
         current head, its MAC must verify under this device's key and its
-        grant must be installed.  On success the entries are appended and
-        the per-grant quota counters and metering clock advance exactly as
-        if :meth:`record_batch` had produced them here — so a merged ledger
-        is byte-identical to one that metered the same windows in-process.
-        Raises :class:`ValueError` (appending nothing) on any mismatch; a
-        torn merge can therefore never happen mid-segment, because the
-        whole segment is validated before the first append.
+        grant must be installed.  The MAC is checked over the entry as the
+        columns will hold it (``float`` timestamp, ``int`` count).  On
+        success the entries are appended and the per-grant quota counters
+        and metering clock advance exactly as if :meth:`record_batch` had
+        produced them here — so a merged ledger is byte-identical to one
+        that metered the same windows in-process.  Raises
+        :class:`ValueError` (appending nothing) on any mismatch; a torn
+        merge can therefore never happen mid-segment, because the whole
+        segment is validated before the first append.
         """
         entries = list(entries)
-        prev_mac = self.head_mac()
-        index = len(self.entries)
+        prev_mac = self._head_hex
+        index = self._base_index + len(self._counts)
+        macs, timestamps, counts = bytearray(), array("d"), array("q")
         for entry in entries:
             if entry.index != index or entry.prev_mac != prev_mac:
                 raise ValueError(
                     f"segment entry {entry.index} does not extend the chain of {self.device_id!r}"
                 )
-            expected = hmac.new(self._key, entry.payload(prev_mac), hashlib.sha256).hexdigest()
-            if not hmac.compare_digest(expected, entry.mac):
+            timestamps.append(float(entry.timestamp))
+            counts.append(int(entry.count))
+            mac = self._next_mac(index, entry.grant_id, entry.model_name, timestamps[-1], prev_mac, counts[-1])
+            if not hmac.compare_digest(mac, entry.mac):
                 raise ValueError(f"segment entry {entry.index} has an invalid MAC for {self.device_id!r}")
             if entry.grant_id not in self.grants:
                 raise ValueError(f"segment entry {entry.index} consumes unknown grant {entry.grant_id!r}")
-            prev_mac = entry.mac
+            macs += bytes.fromhex(mac)
+            prev_mac = mac
             index += 1
-        for entry in entries:
-            self.entries.append(entry)
-            self._used_per_grant[entry.grant_id] += entry.count
-            self._clock += float(entry.count)
+        pair_ids = array("I", [self._intern(entry.grant_id, entry.model_name) for entry in entries])
+        for entry, count in zip(entries, counts):
+            self._used_per_grant[entry.grant_id] += count
+            self._clock += float(count)
+        self._macs += macs
+        self._timestamps.extend(timestamps)
+        self._counts.extend(counts)
+        self._pair_ids.extend(pair_ids)
+        self._head_hex = prev_mac
         return len(entries)
 
     # -- verification -----------------------------------------------------
     def verify_chain(self, key: Optional[bytes] = None) -> bool:
         """Recompute every MAC; False if any entry was altered or removed."""
         key = key if key is not None else self._key
-        prev_mac = self.GENESIS
-        for i, entry in enumerate(self.entries):
-            if entry.index != i or entry.prev_mac != prev_mac:
+        for index, grant_id, model_name, timestamp, prev_mac, mac, count in self._rows(0, len(self._counts)):
+            expected = _hmac(key, entry_payload(index, grant_id, model_name, timestamp, prev_mac, count))
+            if not hmac.compare_digest(expected.hex(), mac):
                 return False
-            expected = hmac.new(key, entry.payload(prev_mac), hashlib.sha256).hexdigest()
-            if not hmac.compare_digest(expected, entry.mac):
-                return False
-            prev_mac = entry.mac
         return True
 
     def export(self) -> Dict[str, object]:
@@ -411,7 +549,12 @@ class UsageLedger:
         from fresh dicts: editing an export never touches the ledger."""
         return {
             "device_id": self.device_id,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [
+                {"index": index, "grant_id": grant_id, "model_name": model_name, "timestamp": timestamp,
+                 "prev_mac": prev_mac, "mac": mac, "count": count}
+                for index, grant_id, model_name, timestamp, prev_mac, mac, count
+                in self._rows(0, len(self._counts))
+            ],
             "grants": {gid: dict(vars(g)) for gid, g in self.grants.items()},
         }
 
@@ -421,7 +564,7 @@ class LedgerHead(UsageLedger):
     clock, next index and head MAC — enough to *meter*, never to *audit*.
 
     :meth:`record_batch` / :meth:`record_query` extend the parent's chain
-    byte-for-byte as the parent itself would have (``entries`` holds only
+    byte-for-byte as the parent itself would have (its columns hold only
     what was metered since :meth:`UsageLedger.fork_head`).  Everything that
     needs the history raises, so a head can never pass for a ledger.
     """
@@ -431,8 +574,8 @@ class LedgerHead(UsageLedger):
         self.grants = dict(ledger.grants)
         self._used_per_grant = dict(ledger._used_per_grant)
         self._clock = ledger._clock
-        self._base_index = ledger._base_index + len(ledger.entries)
-        self._base_mac = ledger.head_mac()
+        self._base_index = ledger._base_index + len(ledger._counts)
+        self._base_mac = self._head_hex = ledger.head_mac()
 
     def _needs_history(self, *args, **kwargs):
         raise TypeError(f"ledger head of {self.device_id!r} holds no chain history")

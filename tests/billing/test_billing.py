@@ -80,23 +80,27 @@ class TestUsageLedger:
         _, ledger = backend_and_ledger
         for _ in range(20):
             ledger.record_query("vision")
-        entry = ledger.entries[5]
-        ledger.entries[5] = type(entry)(
-            index=entry.index,
-            grant_id=entry.grant_id,
-            model_name="other-model",
-            timestamp=entry.timestamp,
-            prev_mac=entry.prev_mac,
-            mac=entry.mac,
-        )
+        grant_id = ledger.entries[5].grant_id
+        ledger._pair_ids[5] = ledger._intern(grant_id, "other-model")  # the stored model of entry 5
         assert not ledger.verify_chain()
 
     def test_deleting_an_entry_breaks_chain(self, backend_and_ledger):
         _, ledger = backend_and_ledger
         for _ in range(20):
             ledger.record_query("vision")
-        del ledger.entries[3]
+        row = slice(3 * 32, 4 * 32)  # entry 3's raw MAC row
+        del ledger._macs[row], ledger._timestamps[3], ledger._counts[3], ledger._pair_ids[3]
         assert not ledger.verify_chain()
+
+    def test_flipped_mac_byte_breaks_chain_and_reconcile(self, backend_and_ledger):
+        backend, ledger = backend_and_ledger
+        for _ in range(20):
+            ledger.record_query("vision")
+        ledger.record_batch("vision", 5)
+        ledger._macs[7 * 32 + 11] ^= 0x01  # one byte of entry 7's stored MAC
+        assert not ledger.verify_chain()
+        result = backend.reconcile(ledger.export())
+        assert not result.accepted and any("MAC chain broken at entry 7" in i for i in result.issues)
 
     def test_wrong_key_fails_verification(self, backend_and_ledger):
         _, ledger = backend_and_ledger

@@ -98,7 +98,8 @@ def test_head_cannot_pass_for_a_ledger():
 def test_head_size_does_not_grow_with_history():
     ledger = _ledger([("vision", 10**6)], [])
     small = len(pickle.dumps(ledger.fork_head()))
+    before = len(pickle.dumps(ledger))
     for _ in range(500):
         ledger.record_batch("vision", 3)
     assert len(pickle.dumps(ledger.fork_head())) <= small + 16  # wider ints, nothing else
-    assert len(pickle.dumps(ledger)) > 50 * small
+    assert len(pickle.dumps(ledger)) - before >= 500 * 32  # the ledger ships at least every MAC row

@@ -269,7 +269,8 @@ def test_shard_fault_lookup():
     assert inj.shard_fault("serve", 1, 2) is None
 
 
-def test_from_seed_builds_generated_plan():
+def test_generated_plan_is_seeded_and_kept_by_the_injector():
+    # One seed, one plan; the injector holds the plan it was built with.
     inj = FaultInjector(
         FaultPlan.generate(4, device_ids=DEVICES, client_ids=CLIENTS, n_windows=3, n_rounds=2)
     )
