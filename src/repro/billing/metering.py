@@ -277,11 +277,6 @@ class _EntryView(Sequence):
             return list(self) == list(other)
         return NotImplemented
 
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} entries of {self._ledger.device_id!r}>"
-
 
 class UsageLedger:
     """On-device, append-only, HMAC-chained usage log with quota enforcement.
@@ -359,15 +354,15 @@ class UsageLedger:
 
     def _rows(self, start: int, stop: int) -> Iterator[tuple]:
         """``LedgerEntry`` fields of entries ``start:stop``, in field order."""
-        hexes = self._macs[start * _ROW: stop * _ROW].hex()
-        prev = self._macs[(start - 1) * _ROW: start * _ROW].hex() if start else self._base_mac
-        pairs = self._pairs
-        for i, pair_id, timestamp, count in zip(
-            range(stop - start), self._pair_ids[start:stop], self._timestamps[start:stop], self._counts[start:stop]
-        ):
-            mac = hexes[2 * _ROW * i: 2 * _ROW * (i + 1)]
-            grant_id, model_name = pairs[pair_id]
-            yield self._base_index + start + i, grant_id, model_name, timestamp, prev, mac, count
+        first = max(start - 1, 0)  # the row before ``start`` is its prev_mac
+        hexes = self._macs[first * _ROW: stop * _ROW].hex()
+        prev = hexes[: 2 * _ROW] if start else self._base_mac
+        pairs, pair_ids, timestamps, counts = self._pairs, self._pair_ids, self._timestamps, self._counts
+        for i in range(start, stop):
+            at = 2 * _ROW * (i - first)
+            mac = hexes[at: at + 2 * _ROW]
+            grant_id, model_name = pairs[pair_ids[i]]
+            yield self._base_index + i, grant_id, model_name, timestamps[i], prev, mac, counts[i]
             prev = mac
 
     def _entries(self, start: int, stop: int) -> Iterator[LedgerEntry]:
