@@ -267,7 +267,7 @@ class _EntryView(Sequence):
         j = j + n if j < 0 else j
         if not 0 <= j < n:
             raise IndexError("ledger entry index out of range")
-        return next(self._ledger._entries(j, j + 1))
+        return self._ledger._entry(j)
 
     def __iter__(self) -> Iterator[LedgerEntry]:
         return self._ledger._entries(0, len(self))
@@ -354,19 +354,30 @@ class UsageLedger:
 
     def _rows(self, start: int, stop: int) -> Iterator[tuple]:
         """``LedgerEntry`` fields of entries ``start:stop``, in field order."""
-        first = max(start - 1, 0)  # the row before ``start`` is its prev_mac
-        hexes = self._macs[first * _ROW: stop * _ROW].hex()
-        prev = hexes[: 2 * _ROW] if start else self._base_mac
-        pairs, pair_ids, timestamps, counts = self._pairs, self._pair_ids, self._timestamps, self._counts
-        for i in range(start, stop):
-            at = 2 * _ROW * (i - first)
-            mac = hexes[at: at + 2 * _ROW]
-            grant_id, model_name = pairs[pair_ids[i]]
-            yield self._base_index + i, grant_id, model_name, timestamps[i], prev, mac, counts[i]
-            prev = mac
+        hexes = self._macs[max(start - 1, 0) * _ROW: stop * _ROW].hex()
+        # chain[i] is entry start+i's prev_mac and chain[i + 1] its MAC
+        chain = [hexes[at: at + 2 * _ROW] for at in range(0, len(hexes), 2 * _ROW)]
+        if not start:
+            chain.insert(0, self._base_mac)
+        pair_ids = self._pair_ids[start:stop]
+        return zip(
+            range(self._base_index + start, self._base_index + stop),
+            [self._pairs[k][0] for k in pair_ids],
+            [self._pairs[k][1] for k in pair_ids],
+            self._timestamps[start:stop].tolist(),
+            chain,
+            chain[1:],
+            self._counts[start:stop].tolist(),
+        )
 
     def _entries(self, start: int, stop: int) -> Iterator[LedgerEntry]:
         return (LedgerEntry(*row) for row in self._rows(start, stop))
+
+    def _entry(self, i: int) -> LedgerEntry:
+        grant_id, model_name = self._pairs[self._pair_ids[i]]
+        prev_mac = self._macs[(i - 1) * _ROW: i * _ROW].hex() if i else self._base_mac
+        mac = self._macs[i * _ROW: (i + 1) * _ROW].hex()
+        return LedgerEntry(self._base_index + i, grant_id, model_name, self._timestamps[i], prev_mac, mac, self._counts[i])
 
     # -- metering ---------------------------------------------------------
     def _next_mac(
