@@ -270,7 +270,7 @@ class _EntryView(Sequence):
         return self._ledger._entry(j)
 
     def __iter__(self) -> Iterator[LedgerEntry]:
-        return self._ledger._entries(0, len(self))
+        return (LedgerEntry(*row) for row in self._ledger._rows(0, len(self)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (list, _EntryView)):
@@ -369,9 +369,6 @@ class UsageLedger:
             chain[1:],
             self._counts[start:stop].tolist(),
         )
-
-    def _entries(self, start: int, stop: int) -> Iterator[LedgerEntry]:
-        return (LedgerEntry(*row) for row in self._rows(start, stop))
 
     def _entry(self, i: int) -> LedgerEntry:
         grant_id, model_name = self._pairs[self._pair_ids[i]]
@@ -492,7 +489,8 @@ class UsageLedger:
         n = len(self._counts)
         if not 0 <= start <= n:
             raise ValueError(f"segment start {start} outside chain of length {n}")
-        return list(self._entries(start, n))
+        # A segment is about one window: row by row skips _rows' fixed cost.
+        return [self._entry(i) for i in range(start, n)]
 
     def append_segment(self, entries: Sequence[LedgerEntry]) -> int:
         """Re-chain a segment produced by a forked copy of this ledger.
@@ -513,15 +511,16 @@ class UsageLedger:
         entries = list(entries)
         prev_mac = self._head_hex
         index = self._base_index + len(self._counts)
-        macs, timestamps, counts = bytearray(), array("d"), array("q")
-        for entry in entries:
+        # Typed before anything is stored: a value the columns cannot hold raises here.
+        timestamps = array("d", [entry.timestamp for entry in entries])
+        counts = array("q", [entry.count for entry in entries])
+        macs = bytearray()
+        for entry, timestamp, count in zip(entries, timestamps, counts):
             if entry.index != index or entry.prev_mac != prev_mac:
                 raise ValueError(
                     f"segment entry {entry.index} does not extend the chain of {self.device_id!r}"
                 )
-            timestamps.append(float(entry.timestamp))
-            counts.append(int(entry.count))
-            mac = self._next_mac(index, entry.grant_id, entry.model_name, timestamps[-1], prev_mac, counts[-1])
+            mac = self._next_mac(index, entry.grant_id, entry.model_name, timestamp, prev_mac, count)
             if not hmac.compare_digest(mac, entry.mac):
                 raise ValueError(f"segment entry {entry.index} has an invalid MAC for {self.device_id!r}")
             if entry.grant_id not in self.grants:
@@ -529,14 +528,13 @@ class UsageLedger:
             macs += bytes.fromhex(mac)
             prev_mac = mac
             index += 1
-        pair_ids = array("I", [self._intern(entry.grant_id, entry.model_name) for entry in entries])
         for entry, count in zip(entries, counts):
+            self._pair_ids.append(self._intern(entry.grant_id, entry.model_name))
             self._used_per_grant[entry.grant_id] += count
             self._clock += float(count)
         self._macs += macs
         self._timestamps.extend(timestamps)
         self._counts.extend(counts)
-        self._pair_ids.extend(pair_ids)
         self._head_hex = prev_mac
         return len(entries)
 
