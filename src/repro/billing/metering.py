@@ -202,11 +202,6 @@ class LedgerEntry:
         return type(self), (self.index, self.grant_id, self.model_name, self.timestamp,
                             self.prev_mac, self.mac, self.count)
 
-    def payload(self, prev_mac: str) -> bytes:
-        return entry_payload(
-            self.index, self.grant_id, self.model_name, self.timestamp, prev_mac, self.count
-        )
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe form for durable segment persistence.
 

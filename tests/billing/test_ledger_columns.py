@@ -43,7 +43,8 @@ class ListLedger(UsageLedger):
         self.entries = []
 
     def _mac(self, key, entry, prev_mac):
-        return hmac.new(key, entry.payload(prev_mac), hashlib.sha256).hexdigest()
+        payload = entry_payload(entry.index, entry.grant_id, entry.model_name, entry.timestamp, prev_mac, entry.count)
+        return hmac.new(key, payload, hashlib.sha256).hexdigest()
 
     def _append_entry(self, grant_id, model_name, timestamp, count):
         self._clock += float(count)
