@@ -15,7 +15,7 @@ import hmac
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from .metering import PricingPlan, QuotaGrant, UsageLedger, entry_payload
+from .metering import PricingPlan, QuotaGrant, UsageLedger, verify_rows
 
 __all__ = ["ReconciliationResult", "BillingBackend"]
 
@@ -87,7 +87,8 @@ class BillingBackend:
 
         Checks performed:
 
-        1. the MAC chain verifies under the device's provisioned key;
+        1. the chain verifies under the device's provisioned key by
+           :func:`~repro.billing.metering.verify_rows` (an unreadable entry breaks it);
         2. every referenced grant was actually issued to this device;
         3. per-grant usage does not exceed the granted quota;
         4. neither the entry count nor any model's cumulative query count is
@@ -107,37 +108,31 @@ class BillingBackend:
             self.reconciliations.append(result)
             return result
 
-        # 1. Recompute the MAC chain.  Entries may be classic single-query
-        # records (no "count" key) or aggregated batch records; the canonical
-        # payload covers the count, so a forged count breaks the chain.
-        prev_mac = UsageLedger.GENESIS
-        chain_ok = True
-        for i, raw in enumerate(entries_raw):
-            count = int(raw.get("count", 1))
-            payload = entry_payload(
-                int(raw["index"]),
-                str(raw["grant_id"]),
-                str(raw["model_name"]),
-                raw["timestamp"],  # type: ignore[arg-type]
-                prev_mac,
-                count,
-            )
-            expected = hmac.new(key, payload, hashlib.sha256).hexdigest()
-            if raw["index"] != i or raw["prev_mac"] != prev_mac or count < 1 or not hmac.compare_digest(expected, str(raw["mac"])):
-                chain_ok = False
-                issues.append(f"MAC chain broken at entry {i}")
-                break
-            prev_mac = str(raw["mac"])
-        if not chain_ok:
+        # 1. The chain rules.  Each entry is read once, into a row: classic
+        # single-query records carry no "count" key.
+        rows = []
+        for raw in entries_raw:
+            try:
+                rows.append((raw["index"], str(raw["grant_id"]), str(raw["model_name"]), raw["timestamp"],
+                             raw["prev_mac"], str(raw["mac"]), int(raw.get("count", 1))))
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+                break  # the chain breaks at the first entry that cannot be read
+        broken = verify_rows(key, 0, UsageLedger.GENESIS, rows)
+        if broken is None and len(rows) < len(entries_raw):
+            broken = len(rows)
+        if broken is not None:
+            issues.append(f"MAC chain broken at entry {broken}")
             result = ReconciliationResult(device_id, False, len(entries_raw), 0, issues)
             self.reconciliations.append(result)
             return result
 
         # 2 & 3. Grant validity and per-grant limits (batch entries count
-        # for their full aggregated query count).
+        # for their full aggregated query count); per-model totals for 4.
         per_grant: Dict[str, int] = {}
-        for raw in entries_raw:
-            per_grant[str(raw["grant_id"])] = per_grant.get(str(raw["grant_id"]), 0) + int(raw.get("count", 1))
+        per_model: Dict[str, int] = {}
+        for _, grant_id, model_name, _, _, _, count in rows:
+            per_grant[grant_id] = per_grant.get(grant_id, 0) + count
+            per_model[model_name] = per_model.get(model_name, 0) + count
         for grant_id, used in per_grant.items():
             grant = self.issued_grants.get(grant_id)
             if grant is None or grant.device_id != device_id:
@@ -154,9 +149,6 @@ class BillingBackend:
         previous = self.synced_counts.get(device_id, 0)
         if len(entries_raw) < previous:
             issues.append(f"ledger rollback: {len(entries_raw)} entries < previously synced {previous}")
-        per_model: Dict[str, int] = {}
-        for raw in entries_raw:
-            per_model[str(raw["model_name"])] = per_model.get(str(raw["model_name"]), 0) + int(raw.get("count", 1))
         previous_queries = self.synced_queries.get(device_id, {})
         for model_name, prev_total in previous_queries.items():
             if per_model.get(model_name, 0) < prev_total:

@@ -48,6 +48,10 @@ next entry's payload needs it.  Metering, ``used``, ``verify_chain`` and
 read-only view that builds :class:`LedgerEntry` objects on access, equal
 field for field to the ones the chain was metered as.
 
+The chain rules live in one place, :func:`verify_rows`, and every verifier
+calls it (``verify_chain``, ``append_segment``, the backend's
+``reconcile``): the device refuses the chains the backend refuses.
+
 :class:`LedgerEntry` stays the type that entries travel in between ledgers:
 the segments a sharded worker ships back (:meth:`UsageLedger.export_segment`
 / :meth:`UsageLedger.append_segment`) and durable segment persistence
@@ -65,7 +69,7 @@ import hmac
 import json
 import operator
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional, Tuple
@@ -78,6 +82,7 @@ __all__ = [
     "QuotaExceededError",
     "PricingPlan",
     "entry_payload",
+    "verify_rows",
 ]
 
 
@@ -240,6 +245,28 @@ def _hmac(key: bytes, payload: bytes) -> bytes:
     return hmac.digest(key, payload, "sha256")
 
 
+def verify_rows(key: bytes, base_index: int, base_mac: str, rows: Iterable[tuple]) -> Optional[int]:
+    """The position of the first of ``rows`` (each a :class:`LedgerEntry`'s
+    fields, in order) that breaks the chain rules, or ``None``: row ``i``
+    needs index ``base_index + i``, ``prev_mac`` equal to the running head
+    (``base_mac``, then each row's MAC), an ``int`` count of at least 1, and
+    an ASCII ``str`` MAC equal to the HMAC of :func:`entry_payload` at that
+    *position and head*, not at the index and ``prev_mac`` the row claims."""
+    head = base_mac
+    for i, (index, grant_id, model_name, timestamp, prev_mac, mac, count) in enumerate(rows):
+        position = base_index + i
+        if index != position or prev_mac != head or type(count) is not int or count < 1:
+            return i
+        try:
+            expected = _hmac(key, entry_payload(position, grant_id, model_name, timestamp, head, count))
+            if not hmac.compare_digest(expected.hex(), mac):
+                return i
+        except (TypeError, ValueError):  # a field json.dumps cannot encode; a MAC that is no ASCII str
+            return i
+        head = mac
+    return None
+
+
 class _EntryView(Sequence):
     """``ledger.entries``: the ledger's chain columns read as
     :class:`LedgerEntry` objects, built on access.  Read-only and live (it
@@ -372,18 +399,6 @@ class UsageLedger:
         return LedgerEntry(self._base_index + i, grant_id, model_name, self._timestamps[i], prev_mac, mac, self._counts[i])
 
     # -- metering ---------------------------------------------------------
-    def _next_mac(
-        self,
-        entry_index: int,
-        grant_id: str,
-        model_name: str,
-        timestamp: float,
-        prev_mac: str,
-        count: int = 1,
-    ) -> str:
-        payload = entry_payload(entry_index, grant_id, model_name, timestamp, prev_mac, count)
-        return _hmac(self._key, payload).hex()
-
     def _append_entry(self, grant_id: str, model_name: str, timestamp: Optional[float], count: int) -> None:
         clock = self._clock + float(count)
         ts = timestamp if timestamp is not None else clock
@@ -490,58 +505,46 @@ class UsageLedger:
     def append_segment(self, entries: Sequence[LedgerEntry]) -> int:
         """Re-chain a segment produced by a forked copy of this ledger.
 
-        The segment must extend this ledger's chain exactly: each entry's
-        index must continue the chain, its ``prev_mac`` must equal the
-        current head, its MAC must verify under this device's key and its
-        grant must be installed.  The MAC is checked over the entry as the
-        columns will hold it (``float`` timestamp, ``int`` count).  On
-        success the entries are appended and the per-grant quota counters
-        and metering clock advance exactly as if :meth:`record_batch` had
-        produced them here — so a merged ledger is byte-identical to one
-        that metered the same windows in-process.  Raises
-        :class:`ValueError` (appending nothing) on any mismatch; a torn
-        merge can therefore never happen mid-segment, because the whole
-        segment is validated before the first append.
+        The segment must extend this ledger's chain under :func:`verify_rows`
+        (index, ``prev_mac`` link, a count of at least 1, and the MAC over
+        the entry as the columns will hold it: ``float`` timestamp, ``int``
+        count), and may use only installed grants, none past its
+        ``n_queries`` (the backend's over-use rule).  On success the quota
+        counters and metering clock advance as if :meth:`record_batch` had
+        metered the entries here, so a merged ledger is byte-identical to an
+        in-process one.  Otherwise raises :class:`ValueError` naming the
+        entry, having stored nothing.
         """
-        entries = list(entries)
-        prev_mac = self._head_hex
-        index = self._base_index + len(self._counts)
-        # Typed before anything is stored: a value the columns cannot hold raises here.
-        timestamps = array("d", [entry.timestamp for entry in entries])
-        counts = array("q", [entry.count for entry in entries])
-        macs = bytearray()
-        for entry, timestamp, count in zip(entries, timestamps, counts):
-            if entry.index != index or entry.prev_mac != prev_mac:
-                raise ValueError(
-                    f"segment entry {entry.index} does not extend the chain of {self.device_id!r}"
-                )
-            mac = self._next_mac(index, entry.grant_id, entry.model_name, timestamp, prev_mac, count)
-            if not hmac.compare_digest(mac, entry.mac):
-                raise ValueError(f"segment entry {entry.index} has an invalid MAC for {self.device_id!r}")
-            if entry.grant_id not in self.grants:
-                raise ValueError(f"segment entry {entry.index} consumes unknown grant {entry.grant_id!r}")
-            macs += bytes.fromhex(mac)
-            prev_mac = mac
-            index += 1
-        for entry, count in zip(entries, counts):
-            self._pair_ids.append(self._intern(entry.grant_id, entry.model_name))
-            self._used_per_grant[entry.grant_id] += count
+        timestamps, counts, rows = array("d"), array("q"), []
+        for entry in entries:  # typed first: a value the columns cannot hold raises here
+            timestamps.append(entry.timestamp)
+            counts.append(entry.count)
+            rows.append((entry.index, entry.grant_id, entry.model_name, timestamps[-1],
+                         entry.prev_mac, entry.mac, counts[-1]))
+        broken = verify_rows(self._key, self._base_index + len(self._counts), self._head_hex, rows)
+        if broken is not None:
+            raise ValueError(f"segment entry {rows[broken][0]} does not extend the chain of {self.device_id!r}")
+        used = dict(self._used_per_grant)
+        for index, grant_id, _, _, _, _, count in rows:
+            grant = self.grants.get(grant_id)
+            if grant is None or used[grant_id] + count > grant.n_queries:
+                raise ValueError(f"segment entry {index} consumes unknown or exhausted grant {grant_id!r}")
+            used[grant_id] += count
+        for _, grant_id, model_name, _, _, mac, count in rows:
+            self._pair_ids.append(self._intern(grant_id, model_name))
+            self._macs += bytes.fromhex(mac)
+            self._head_hex = mac
             self._clock += float(count)
-        self._macs += macs
+        self._used_per_grant = used
         self._timestamps.extend(timestamps)
         self._counts.extend(counts)
-        self._head_hex = prev_mac
-        return len(entries)
+        return len(rows)
 
     # -- verification -----------------------------------------------------
     def verify_chain(self, key: Optional[bytes] = None) -> bool:
-        """Recompute every MAC; False if any entry was altered or removed."""
+        """Whether every entry passes :func:`verify_rows` (none altered or removed)."""
         key = key if key is not None else self._key
-        for index, grant_id, model_name, timestamp, prev_mac, mac, count in self._rows(0, len(self._counts)):
-            expected = _hmac(key, entry_payload(index, grant_id, model_name, timestamp, prev_mac, count))
-            if not hmac.compare_digest(expected.hex(), mac):
-                return False
-        return True
+        return verify_rows(key, self._base_index, self._base_mac, self._rows(0, len(self._counts))) is None
 
     def export(self) -> Dict[str, object]:
         """Serializable sync payload (entries + installed grants), built

@@ -4,18 +4,28 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import hmac
 
 import numpy as np
 import pytest
 
 from repro.billing import (
     BillingBackend,
+    LedgerEntry,
     PricingPlan,
     QuotaExceededError,
     QuotaGrant,
     UsageLedger,
 )
+from repro.billing import backend as billing_backend
+from repro.billing import metering
+from repro.billing.metering import entry_payload
 from repro.persist import canonical_json
+
+
+def _forge_mac(key, index, grant_id, model_name, timestamp, prev_mac, count=1):
+    """The MAC a key-holding device would write for an entry of its choice."""
+    return hmac.new(key, entry_payload(index, grant_id, model_name, timestamp, prev_mac, count), hashlib.sha256).hexdigest()
 
 
 @pytest.fixture()
@@ -169,8 +179,7 @@ class TestReconciliation:
         export["entries"][0]["grant_id"] = "grant-999999"
         # Recompute a fresh, internally consistent chain with the forged grant
         # using the device key (simulating a malicious but key-holding device).
-        forged = UsageLedger("dev-1", backend.device_keys["dev-1"])
-        mac = forged._next_mac(0, "grant-999999", "vision", 1.0, UsageLedger.GENESIS)
+        mac = _forge_mac(backend.device_keys["dev-1"], 0, "grant-999999", "vision", 1.0, UsageLedger.GENESIS)
         export["entries"] = [
             {"index": 0, "grant_id": "grant-999999", "model_name": "vision", "timestamp": 1.0, "prev_mac": UsageLedger.GENESIS, "mac": mac}
         ]
@@ -183,13 +192,10 @@ class TestReconciliation:
         # entries directly with the device key.
         key = backend.device_keys["dev-1"]
         grant_id = next(iter(ledger.grants))
-        cheat = UsageLedger("dev-1", key)
-        cheat.grants = dict(ledger.grants)
-        cheat._used_per_grant = {grant_id: 0}
         entries = []
         prev = UsageLedger.GENESIS
         for i in range(60):  # grant only covers 50
-            mac = cheat._next_mac(i, grant_id, "vision", float(i), prev)
+            mac = _forge_mac(key, i, grant_id, "vision", float(i), prev)
             entries.append({"index": i, "grant_id": grant_id, "model_name": "vision", "timestamp": float(i), "prev_mac": prev, "mac": mac})
             prev = mac
         result = backend.reconcile({"device_id": "dev-1", "entries": entries, "grants": {}})
@@ -264,17 +270,15 @@ class TestBatchMetering:
         # A key-holding device forges one batch entry claiming more queries
         # than the grant covers: the chain verifies but over-use is flagged.
         grant_id = next(iter(ledger.grants))
-        cheat = UsageLedger("dev-1", backend.device_keys["dev-1"])
-        mac = cheat._next_mac(0, grant_id, "vision", 1.0, UsageLedger.GENESIS, count=500)
+        mac = _forge_mac(backend.device_keys["dev-1"], 0, grant_id, "vision", 1.0, UsageLedger.GENESIS, count=500)
         entries = [{"index": 0, "grant_id": grant_id, "model_name": "vision", "timestamp": 1.0, "prev_mac": UsageLedger.GENESIS, "mac": mac, "count": 500}]
         result = backend.reconcile({"device_id": "dev-1", "entries": entries, "grants": {}})
         assert not result.accepted and any("over-used" in i for i in result.issues)
 
     def test_nonpositive_count_rejected_even_with_valid_mac(self, backend_and_ledger):
         backend, ledger = backend_and_ledger
-        cheat = UsageLedger("dev-1", backend.device_keys["dev-1"])
         grant_id = next(iter(ledger.grants))
-        mac = cheat._next_mac(0, grant_id, "vision", 1.0, UsageLedger.GENESIS, count=0)
+        mac = _forge_mac(backend.device_keys["dev-1"], 0, grant_id, "vision", 1.0, UsageLedger.GENESIS, count=0)
         entries = [{"index": 0, "grant_id": grant_id, "model_name": "vision", "timestamp": 1.0, "prev_mac": UsageLedger.GENESIS, "mac": mac, "count": 0}]
         result = backend.reconcile({"device_id": "dev-1", "entries": entries, "grants": {}})
         assert not result.accepted
@@ -297,9 +301,8 @@ class TestBatchMetering:
         assert first.accepted and first.n_new_queries == 10
         key = backend.device_keys["dev-1"]
         grant_id = next(iter(ledger.grants))
-        cheat = UsageLedger("dev-1", key)
-        mac0 = cheat._next_mac(0, grant_id, "vision", 1.0, UsageLedger.GENESIS, count=40)
-        mac1 = cheat._next_mac(1, grant_id, "vision", 2.0, mac0, count=1)
+        mac0 = _forge_mac(key, 0, grant_id, "vision", 1.0, UsageLedger.GENESIS, count=40)
+        mac1 = _forge_mac(key, 1, grant_id, "vision", 2.0, mac0, count=1)
         entries = [
             {"index": 0, "grant_id": grant_id, "model_name": "vision", "timestamp": 1.0, "prev_mac": UsageLedger.GENESIS, "mac": mac0, "count": 40},
             {"index": 1, "grant_id": grant_id, "model_name": "vision", "timestamp": 2.0, "prev_mac": mac0, "mac": mac1, "count": 1},
@@ -318,8 +321,7 @@ class TestBatchMetering:
         assert backend.reconcile(ledger.export()).accepted
         key = backend.device_keys["dev-1"]
         grant_id = next(iter(ledger.grants))
-        cheat = UsageLedger("dev-1", key)
-        mac0 = cheat._next_mac(0, grant_id, "vision", 1.0, UsageLedger.GENESIS, count=5)
+        mac0 = _forge_mac(key, 0, grant_id, "vision", 1.0, UsageLedger.GENESIS, count=5)
         entries = [{"index": 0, "grant_id": grant_id, "model_name": "vision", "timestamp": 1.0, "prev_mac": UsageLedger.GENESIS, "mac": mac0, "count": 5}]
         result = backend.reconcile({"device_id": "dev-1", "entries": entries, "grants": {}})
         assert not result.accepted and any("rollback" in i for i in result.issues)
@@ -348,3 +350,122 @@ class TestBatchMetering:
         assert ledger.remaining() == remaining == 44
         assert ledger.head_mac() == head
         assert backend.reconcile(ledger.export()).accepted
+
+
+def _state(ledger):
+    """All a merge may change: the chain columns, quota, head MAC and clock."""
+    return (bytes(ledger._macs), ledger._timestamps.tobytes(), ledger._counts.tobytes(), ledger._pair_ids.tobytes(),
+            dict(ledger._used_per_grant), ledger.remaining(), ledger.head_mac(), ledger._clock)
+
+
+def _metered(quota, used):
+    backend = BillingBackend()
+    backend.register_plan(PricingPlan("vision"))
+    ledger = UsageLedger("dev-1", backend.enroll_device("dev-1"))
+    ledger.add_grant(backend.sell_package("dev-1", "vision", quota), backend_key=backend.signing_key())
+    ledger.record_batch("vision", used)
+    return backend, ledger
+
+
+class TestSegmentMerge:
+    """``append_segment`` refuses what ``reconcile`` refuses, and stores nothing when it does."""
+
+    @pytest.mark.parametrize(
+        "quota, used, count, issue",
+        [
+            (50, 50, -5, "MAC chain broken at entry 1"),  # would refund 5 queries
+            (50, 10, 0, "MAC chain broken at entry 1"),
+            (5, 0, 500, "grant grant-000001 over-used: 500 > 5"),
+        ],
+        ids=["negative-count", "zero-count", "over-use"],
+    )
+    def test_key_holder_forged_count_is_refused(self, quota, used, count, issue):
+        backend, ledger = _metered(quota, used)
+        index, head, grant_id = len(ledger.entries), ledger.head_mac(), next(iter(ledger.grants))
+        mac = _forge_mac(ledger._key, index, grant_id, "vision", 9.0, head, count)
+        forged = LedgerEntry(index, grant_id, "vision", 9.0, head, mac, count)
+        before = _state(ledger)
+        with pytest.raises(ValueError, match=f"segment entry {index}"):
+            ledger.append_segment([forged])
+        assert _state(ledger) == before and ledger.remaining() == quota - used
+        assert ledger.verify_chain()
+        merged = ledger.export()
+        merged["entries"].append(forged.to_dict())
+        result = backend.reconcile(merged)
+        assert not result.accepted and result.issues == [issue]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mac", "\u00e9" * 64), ("mac", b"0" * 64), ("mac", None), ("grant_id", object())],
+        ids=["non-ascii-mac", "bytes-mac", "none-mac", "unencodable-grant"],
+    )
+    def test_malformed_entry_is_refused_not_raised(self, field, value):
+        _, ledger = _metered(50, 4)
+        head = ledger.fork_head()
+        head.record_batch("vision", 2)
+        head.record_query("vision")
+        segment = head.export_segment(0)
+        segment[1] = dataclasses.replace(segment[1], **{field: value})
+        before = _state(ledger)
+        with pytest.raises(ValueError, match="segment entry 2"):
+            ledger.append_segment(segment)
+        assert _state(ledger) == before
+
+
+def _drop(field):
+    return lambda entries: entries[3].pop(field)
+
+
+def _set(field, value):
+    return lambda entries: entries[3].__setitem__(field, value)
+
+
+class TestMalformedUpload:
+    @pytest.mark.parametrize(
+        "tamper",
+        [_drop(field) for field in ("index", "grant_id", "model_name", "timestamp", "prev_mac", "mac")]
+        + [_set("mac", "\u00e9" * 64), _set("count", None), _set("timestamp", object()),
+           lambda entries: entries.__setitem__(3, None)],
+        ids=["no-index", "no-grant_id", "no-model_name", "no-timestamp", "no-prev_mac", "no-mac",
+             "non-ascii-mac", "none-count", "unencodable-timestamp", "not-a-record"],
+    )
+    def test_malformed_entry_breaks_the_chain_there(self, backend_and_ledger, tamper):
+        backend, ledger = backend_and_ledger
+        for _ in range(3):
+            ledger.record_query("vision")
+        ledger.record_batch("vision", 4)
+        ledger.record_query("vision")
+        export = ledger.export()
+        tamper(export["entries"])
+        result = backend.reconcile(export)
+        assert not result.accepted and result.issues == ["MAC chain broken at entry 3"]
+        assert result.n_entries == 5 and backend.synced_counts == {}
+
+
+class TestChainKernel:
+    """The chain rules have one implementation: ``verify_chain``,
+    ``append_segment`` and ``reconcile`` each make one ``verify_rows`` call,
+    which builds one ``entry_payload`` per entry — the guard against a
+    verifier growing its own loop (and its own rules) back."""
+
+    def test_every_verifier_runs_the_one_kernel(self, backend_and_ledger, counted):
+        backend, ledger = backend_and_ledger
+        for _ in range(4):
+            ledger.record_query("vision")
+        ledger.record_batch("vision", 7)
+        head = ledger.fork_head()
+        head.record_batch("vision", 3)
+        head.record_query("vision")
+        segment = head.export_segment(0)
+        count, calls = counted
+        count(metering, "verify_rows")
+        count(billing_backend, "verify_rows")  # bound there by name at import
+        count(metering, "entry_payload")
+        for verify, n_entries in (
+            (ledger.verify_chain, 5),
+            (lambda: ledger.append_segment(segment), 2),
+            (lambda: backend.reconcile(ledger.export()).accepted, 7),
+        ):
+            calls.update(dict.fromkeys(calls, 0))
+            assert verify()
+            assert calls == {"verify_rows": 1, "entry_payload": n_entries}

@@ -9,6 +9,7 @@ and must hold each entry in a fraction of the bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import hmac
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.billing import LedgerEntry, QuotaExceededError, QuotaGrant, UsageLedger
+from repro.billing import BillingBackend, LedgerEntry, QuotaExceededError, QuotaGrant, UsageLedger
 from repro.billing.metering import entry_payload
 from repro.faults import CheckpointStore
 
@@ -177,6 +178,83 @@ def test_columnar_ledger_matches_the_list_oracle(grants, script):
     assert restored.append_segment(segment) == restored_oracle.append_segment(segment)
     assert json.dumps(restored.export()) == json.dumps(ledger.export())
     assert_same_chain(restored, restored_oracle)
+
+
+def _remac(segment):
+    """``segment`` re-chained with the device key from its first ``prev_mac``:
+    what a key-holding device can forge for any fields it likes."""
+    forged, head = [], segment[0].prev_mac
+    for entry in segment:
+        payload = entry_payload(entry.index, entry.grant_id, entry.model_name, entry.timestamp, head, entry.count)
+        forged.append(dataclasses.replace(entry, prev_mac=head, mac=hmac.new(KEY, payload, hashlib.sha256).hexdigest()))
+        head = forged[-1].mac
+    return forged
+
+
+tampers = st.one_of(
+    st.tuples(st.just("honest")),
+    st.tuples(st.just("rewrite count"), st.integers(0, 99), st.integers(1, 5)),
+    st.tuples(st.just("re-MAC count"), st.integers(0, 99), st.integers(-3, 15)),  # zero, negative, over quota
+    st.tuples(st.just("reorder"), st.integers(0, 99)),
+    st.tuples(st.just("truncate"), st.integers(0, 99), st.booleans()),
+    st.tuples(st.just("non-ASCII MAC"), st.integers(0, 99)),
+)
+
+
+def _tamper(segment, move):
+    """``segment`` after one tamper move, at the entry a drawn number picks."""
+    if not segment or move[0] == "honest":
+        return segment
+    i = move[1] % len(segment)
+    if move[0] == "rewrite count":
+        return segment[:i] + [dataclasses.replace(segment[i], count=segment[i].count + move[2])] + segment[i + 1:]
+    if move[0] == "re-MAC count":
+        return _remac(segment[:i] + [dataclasses.replace(segment[i], count=move[2])] + segment[i + 1:])
+    if move[0] == "reorder":  # a rotation: the identity on a one-entry segment
+        return segment[i + 1:] + segment[:i + 1]
+    if move[0] == "truncate":  # a dropped tail leaves an honest prefix; a dropped head breaks the chain
+        return segment[:i] if move[2] else segment[i + 1:]
+    return segment[:i] + [dataclasses.replace(segment[i], mac="\u00e9" * 64)] + segment[i + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grants=st.lists(st.tuples(models, st.integers(1, 12)), min_size=1, max_size=4),
+       script=st.lists(ops, max_size=5),
+       window=st.lists(st.tuples(models, st.integers(1, 14)), min_size=1, max_size=4),
+       move=tampers)
+def test_merge_accepts_exactly_what_a_fresh_backend_accepts(grants, script, window, move):
+    ledger = _install(UsageLedger("dev-1", KEY), grants)
+    for op in script:  # the oracle suite's scripts, metered honestly
+        if op[0] == "query":
+            _call(ledger.record_query, op[1], timestamp=op[2])
+        elif op[0] == "batch":
+            _call(ledger.record_batch, *op[1:])
+        else:
+            head = ledger.fork_head()
+            for model, n in op[1]:
+                head.record_batch(model, n)
+            ledger.append_segment(head.export_segment(0))
+    head = ledger.fork_head()
+    for model, n in window:
+        head.record_batch(model, n)
+    segment = _tamper(head.export_segment(0), move)
+
+    backend = BillingBackend()
+    backend.device_keys["dev-1"] = KEY
+    backend.issued_grants.update(ledger.grants)
+    merged = ledger.export()
+    merged["entries"] += [entry.to_dict() for entry in segment]
+    verdict = backend.reconcile(merged)
+
+    before = pickle.dumps(ledger)
+    try:
+        ledger.append_segment(segment)
+    except ValueError:
+        assert not verdict.accepted, verdict
+        assert pickle.dumps(ledger) == before  # refused whole
+    else:
+        assert verdict.accepted, verdict.issues
+        assert json.dumps(ledger.export()) == json.dumps(merged) and ledger.verify_chain()
 
 
 def test_int_timestamp_survives_persistence():
