@@ -516,9 +516,12 @@ class UsageLedger:
         entry, having stored nothing.
         """
         timestamps, counts, rows = array("d"), array("q"), []
-        for entry in entries:  # typed first: a value the columns cannot hold raises here
-            timestamps.append(entry.timestamp)
-            counts.append(entry.count)
+        for entry in entries:  # typed first, as the columns will hold it
+            try:
+                timestamps.append(entry.timestamp)
+                counts.append(entry.count)
+            except (TypeError, OverflowError):  # a timestamp no float holds, a count no int64 holds
+                raise ValueError(f"segment entry {entry.index} does not fit the ledger's columns") from None
             rows.append((entry.index, entry.grant_id, entry.model_name, timestamps[-1],
                          entry.prev_mac, entry.mac, counts[-1]))
         broken = verify_rows(self._key, self._base_index + len(self._counts), self._head_hex, rows)

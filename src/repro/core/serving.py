@@ -21,7 +21,10 @@ admission semantics of the per-query loop:
    arrays), fixing the historical bug where the full window was paired with
    ``served``-length telemetry arrays.
 
-Quota metering and result building are shared by every engine.  The
+Quota metering and the outcome are shared by every engine.  The outcome
+is columns (ids, fleet rows, int64 requested / granted / served counts) that
+:meth:`FleetServeReport.record` adds to one count block keyed by fleet row;
+``per_device`` is built only when read.  The
 default **fleet sweep** runs the other stages as one
 :meth:`~repro.devices.FleetState.draw_batch_rows` battery sweep, one
 compiled-plan :meth:`~repro.exchange.CompiledExecutor.run_many` call and
@@ -47,7 +50,7 @@ process pool and merged at a barrier, byte-identical to ``"batched"``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, MutableMapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, MutableMapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,6 +97,12 @@ class FleetServeReport:
     (:mod:`repro.faults`): they are requested-but-unserved and *never
     billed* — the ledger meters admissions, and a partitioned device admits
     nothing.
+
+    Per-device counts are one int64 block keyed by fleet row, grown on
+    demand, with columns ``requested``, ``granted``, ``served`` and
+    ``network_failures`` (the other two keys are differences), beside the
+    device ids and their rows in first-seen order.  :attr:`per_device`
+    builds the ``{device_id: {key: int}}`` dict from them on read.
     """
 
     model_name: str
@@ -105,34 +114,54 @@ class FleetServeReport:
     devices_with_drift: int = 0
     shard_recoveries: int = 0
     network_failures: int = 0
-    per_device: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    _block: np.ndarray = field(default_factory=lambda: np.zeros((0, 4), np.int64), init=False, repr=False)
+    _ids: List[str] = field(default_factory=list, init=False, repr=False)
+    _order: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp), init=False, repr=False)
 
-    _DEVICE_KEYS = ("requested", "served", "denied_quota", "battery_failures", "network_failures")
+    def _block_for(self, ids: Sequence[str], rows: np.ndarray) -> np.ndarray:
+        """The count block, grown to hold ``rows``; a row not seen yet (its
+        ``requested`` is still 0) puts its id next in the first-seen order."""
+        grow = int(rows.max(initial=-1)) + 1 - len(self._block)
+        if grow > 0:
+            self._block = np.pad(self._block, ((0, grow), (0, 0)))
+        fresh = np.flatnonzero(self._block[rows, 0] == 0)
+        if fresh.size:
+            self._ids += [ids[i] for i in fresh.tolist()]
+            self._order = np.concatenate([self._order, rows[fresh]])
+        return self._block
 
-    def _device_stats(self, device_id: str) -> Dict[str, int]:
-        stats = self.per_device.get(device_id)
-        if stats is None:
-            stats = self.per_device[device_id] = dict.fromkeys(self._DEVICE_KEYS, 0)
-        return stats
+    def record(self, ids: Sequence[str], rows: np.ndarray, requested: np.ndarray,
+               granted: np.ndarray, served: np.ndarray) -> None:
+        """Add one window's outcome: the non-empty device windows ``ids`` at
+        distinct fleet ``rows``, with their int64 request, grant and serve
+        counts (what :meth:`ServingEngine._serve_fleet_window` returns)."""
+        n, g, s = int(requested.sum()), int(granted.sum()), int(served.sum())
+        self.requested += n
+        self.served += s
+        self.denied_quota += n - g
+        self.battery_failures += g - s
+        self._block_for(ids, rows)[rows, :3] += np.stack([requested, granted, served], axis=1)
 
-    def add(self, result: ServeResult) -> None:
-        self.requested += result.requested
-        self.served += result.served
-        self.denied_quota += result.denied_quota
-        self.battery_failures += result.battery_failures
-        stats = self._device_stats(result.device_id)
-        stats["requested"] += result.requested
-        stats["served"] += result.served
-        stats["denied_quota"] += result.denied_quota
-        stats["battery_failures"] += result.battery_failures
-
-    def add_network_failure(self, device_id: str, n_queries: int) -> None:
+    def add_network_failure(self, device_id: str, row: int, n_queries: int) -> None:
         """Account queries lost to a window-long device partition."""
         self.requested += n_queries
         self.network_failures += n_queries
-        stats = self._device_stats(device_id)
-        stats["requested"] += n_queries
-        stats["network_failures"] += n_queries
+        self._block_for([device_id], np.array([row]))[row, [0, 3]] += n_queries
+
+    @property
+    def per_device(self) -> Dict[str, Dict[str, int]]:
+        """``{device_id: {requested, served, denied_quota, battery_failures,
+        network_failures}}`` of ``int`` counts, in first-seen order, built on read."""
+        return {
+            device_id: {"requested": n, "served": s, "denied_quota": n - lost - g,
+                        "battery_failures": g - s, "network_failures": lost}
+            for device_id, (n, g, s, lost) in zip(self._ids, self._block[self._order].tolist())
+        }
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FleetServeReport):
+            return NotImplemented
+        return self.as_dict() == other.as_dict() and self.per_device == other.per_device
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -165,7 +194,6 @@ class ServingEngine:
         models: Optional[MutableMapping[str, object]] = None,
         ledgers: Optional[MutableMapping[str, UsageLedger]] = None,
         monitors: Optional[MutableMapping[str, EdgeMonitor]] = None,
-        plans: Optional[MutableMapping[str, object]] = None,
         fault_injector=None,
     ) -> None:
         self.fleet = fleet
@@ -179,11 +207,9 @@ class ServingEngine:
         self.ledgers: MutableMapping[str, UsageLedger] = ledgers if ledgers is not None else {}
         self.monitors: MutableMapping[str, EdgeMonitor] = monitors if monitors is not None else {}
         # Compiled plans (repro.exchange.CompiledExecutor) keyed by model
-        # name; when present they replace the per-query nn.Model forward in
-        # serve_batch.  Opt-in via compile_model so existing worlds keep the
-        # model path untouched.
-        self.plans: MutableMapping[str, object] = plans if plans is not None else {}
-        self._plan_options: Dict[str, tuple] = {}
+        # name, opt-in via compile_model: a window runs its model's plan, if
+        # any, in place of the layer-by-layer nn forward.
+        self.plans: Dict[str, object] = {}
         # Per-model inference-cost cache for the fleet sweep, keyed by
         # (profile, bits); invalidated when the model object for a name is
         # replaced (cost depends on architecture, not weights).
@@ -196,32 +222,20 @@ class ServingEngine:
         self.shard_runner = None
 
     # ------------------------------------------------------------------
-    def compile_model(self, model_name: str, pipeline=None, apply_quantization: Optional[bool] = None):
+    def compile_model(self, model_name: str):
         """Lower a deployed model into a compiled plan for the serving path.
 
         The model is exported to the graph IR, run through the standard
-        inference passes (or a caller-supplied
-        :class:`~repro.exchange.PassPipeline`) and compiled into a
-        :class:`~repro.exchange.CompiledExecutor`; subsequent
-        :meth:`serve_batch` calls for this model execute the plan instead of
-        the layer-by-layer ``nn`` forward.
-
-        Omitted arguments reuse the options of the previous
-        :meth:`compile_model` call for this model, so rebuilds after weight
-        updates (e.g. a federated round) keep any custom lowering.
+        inference passes and compiled into a
+        :class:`~repro.exchange.CompiledExecutor`; subsequent windows for
+        this model execute the plan instead of the layer-by-layer ``nn``
+        forward.  Rebuilds after weight updates (e.g. a federated round) and
+        sharded workers call this again with the same name.
         """
         from repro.exchange import CompiledExecutor, PassPipeline, from_sequential
 
-        stored_pipeline, stored_quant = self._plan_options.get(model_name, (None, True))
-        if pipeline is None:
-            pipeline = stored_pipeline
-        if apply_quantization is None:
-            apply_quantization = stored_quant
-        model = self.models[model_name]
-        lowering = pipeline or PassPipeline.standard_inference()
-        plan = CompiledExecutor(lowering.run(from_sequential(model)), apply_quantization=apply_quantization)
-        self.plans[model_name] = plan
-        self._plan_options[model_name] = (pipeline, apply_quantization)
+        graph = PassPipeline.standard_inference().run(from_sequential(self.models[model_name]))
+        plan = self.plans[model_name] = CompiledExecutor(graph)
         return plan
 
     def _predict_classes(self, model_name: str, x: np.ndarray) -> np.ndarray:
@@ -244,14 +258,13 @@ class ServingEngine:
         Only the served slice reaches the drift monitor.  An empty window
         serves nothing; an unknown model or device raises ``KeyError``.
         """
-        report = FleetServeReport(model_name=model_name)
-        results = self._serve_fleet_window(model_name, {device_id: x}, report, bits, per_device=True)
-        if results:
-            return results[0]
-        self.fleet.get(device_id)  # an empty window still names a known device
+        ids, _, *counts = self._serve_fleet_window(model_name, {device_id: x}, bits, per_device=True)
+        if not ids:
+            self.fleet.get(device_id)  # an empty window still names a known device
+        n, g, s = (int(c.sum()) for c in counts)  # an empty window sums to 0
         monitor = self.monitors.get(device_id)
         drift = bool(monitor.any_drift()) if monitor is not None else False
-        return ServeResult(device_id, model_name, 0, 0, 0, 0, drift)
+        return ServeResult(device_id, model_name, n, s, n - g, g - s, drift)
 
     # ------------------------------------------------------------------
     def serve_batch_legacy(self, device_id: str, model_name: str, x: np.ndarray, bits: int = 32) -> ServeResult:
@@ -323,18 +336,19 @@ class ServingEngine:
         self,
         model_name: str,
         window: Mapping[str, np.ndarray],
-        report: FleetServeReport,
         bits: int,
         per_device: bool = False,
-    ) -> List[ServeResult]:
+    ) -> Tuple[List[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Serve one fleet-wide window: meter, admit, predict, monitor.
 
         The one serving transaction.  Quota metering is a per-device loop
         in window order (each ledger's MAC chain is sequential) and admits a
         prefix of each device's window; the battery then covers a prefix of
         the granted queries, and only the served slice of a monitored
-        device is predicted and observed.  One :class:`ServeResult` per
-        non-empty device window is added to ``report`` in window order.
+        device is predicted and observed.  Returns the outcome as columns,
+        the shape :meth:`FleetServeReport.record` takes: the ids of the
+        non-empty device windows in window order, their fleet rows, and
+        their ``requested``, ``granted`` and ``served`` counts (int64).
 
         By default the other stages are fleet sweeps: costs cached per
         (model, profile, bits) and resolved once per distinct profile code,
@@ -368,15 +382,16 @@ class ServingEngine:
             ids.append(device_id)
             xs.append(x)
             ns.append(n)
-        if not ids:
-            return []
+        row_arr = np.asarray(rows, dtype=np.intp)
+        requested = np.asarray(ns, dtype=np.int64)
+        granted = np.asarray(granteds, dtype=np.int64)
         if per_device:
             devices = [self.fleet.get(device_id) for device_id in ids]
             costs = [self.cost_model.model_inference_cost(d.profile, model, bits=bits) for d in devices]
-            serveds = [d.execute_batch(c, g, record=False) for d, c, g in zip(devices, costs, granteds)]
+            served = np.array([d.execute_batch(c, g, record=False) for d, c, g in zip(devices, costs, granteds)],
+                              dtype=np.int64)
         else:
             state = self.fleet.state
-            row_arr = np.asarray(rows, dtype=np.intp)
             # One cost per distinct profile code in the window, not per device.
             codes, inverse = np.unique(state.profile_idx[row_arr], return_inverse=True)
             costs_by_profile = self._window_costs(model_name, model)
@@ -389,18 +404,14 @@ class ServingEngine:
                     costs_by_profile[(profile, bits)] = cost
                 code_costs.append(cost)
             costs = [code_costs[i] for i in inverse.tolist()]
-            served_arr = state.draw_batch_rows(
-                row_arr,
-                np.array([c.energy_j for c in code_costs], dtype=np.float64)[inverse],
-                np.asarray(granteds, dtype=np.int64),
+            served = state.draw_batch_rows(
+                row_arr, np.array([c.energy_j for c in code_costs], dtype=np.float64)[inverse], granted
             )
-            state.query_count[row_arr] += served_arr
-            serveds = served_arr.tolist()
-        admitted = list(zip(ids, xs, ns, costs, granteds, serveds))
+            state.query_count[row_arr] += served
         monitored = [
-            (device_id, x[:served], cost, served)
-            for device_id, x, n, cost, granted, served in admitted
-            if served and self.monitors.get(device_id) is not None
+            (device_id, x[:k], cost, k)
+            for device_id, x, cost, k in zip(ids, xs, costs, served.tolist())
+            if k and self.monitors.get(device_id) is not None
         ]
         if monitored:
             slices = [s for _, s, _, _ in monitored]
@@ -410,30 +421,16 @@ class ServingEngine:
                 preds = [out.argmax(axis=-1) for out in plan.run_many(slices)]
             telemetry = dict(
                 predictions={device_id: p for (device_id, _, _, _), p in zip(monitored, preds)},
-                latencies={device_id: np.full(served, cost.latency_s) for device_id, _, cost, served in monitored},
-                energies={device_id: np.full(served, cost.energy_j) for device_id, _, cost, served in monitored},
-                memories={device_id: np.full(served, cost.peak_memory_bytes) for device_id, _, cost, served in monitored},
+                latencies={device_id: np.full(k, cost.latency_s) for device_id, _, cost, k in monitored},
+                energies={device_id: np.full(k, cost.energy_j) for device_id, _, cost, k in monitored},
+                memories={device_id: np.full(k, cost.peak_memory_bytes) for device_id, _, cost, k in monitored},
             )
             if per_device:
                 for device_id, s, _, _ in monitored:
                     self.monitors[device_id].observe_window(s, **{k: v[device_id] for k, v in telemetry.items()})
             else:
                 self._fleet_monitor().observe_fleet({device_id: s for device_id, s, _, _ in monitored}, **telemetry)
-        results: List[ServeResult] = []
-        for device_id, x, n, cost, granted, served in admitted:
-            monitor = self.monitors.get(device_id)
-            result = ServeResult(
-                device_id=device_id,
-                model_name=model_name,
-                requested=n,
-                served=served,
-                denied_quota=n - granted,
-                battery_failures=granted - served,
-                drift_detected=bool(monitor.any_drift()) if monitor is not None else False,
-            )
-            report.add(result)
-            results.append(result)
-        return results
+        return ids, row_arr, requested, granted, served
 
     def serve_fleet(
         self,
@@ -489,11 +486,11 @@ class ServingEngine:
                     for device_id, x in dropped.items():
                         n = int(np.asarray(x).shape[0])
                         if n:
-                            report.add_network_failure(device_id, n)
+                            report.add_network_failure(device_id, self.fleet.row_of(device_id), n)
                 if runner is not None:
                     runner.serve_window(self, model_name, window, report, bits=32)
                 else:
-                    self._serve_fleet_window(model_name, window, report, 32, per_device=engine == ENGINE_ORACLE)
+                    report.record(*self._serve_fleet_window(model_name, window, 32, per_device=engine == ENGINE_ORACLE))
         finally:
             if runner is not None and runner is not self.shard_runner:
                 runner.close()  # a runner built for this call owns processes

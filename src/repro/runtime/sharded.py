@@ -15,8 +15,13 @@ balanced shards.  Every per-device outcome is independent — quota metering
 is per-device (each device owns its MAC chain), battery admission is a
 per-row closed form, compiled-plan ``run_many`` is per-window exact, and
 :class:`~repro.observability.FleetMonitor` sweeps equal the per-device loop
-— so shard composition cannot change any value.  At the barrier:
+— so shard composition cannot change any value.  At the barrier, shard by
+shard in shard (= window) order:
 
+* each shard's per-device ``requested`` / ``granted`` / ``served`` columns
+  go into the report's count block via
+  :meth:`~repro.core.serving.FleetServeReport.record`, keyed by the
+  *parent's* fleet rows (the worker's rows index its sub-store);
 * MAC-chained ledger segments are re-chained in shard order via
   :meth:`~repro.billing.UsageLedger.append_segment` (each worker metered
   on the parent ledger's :meth:`~repro.billing.UsageLedger.fork_head`, so
@@ -48,11 +53,13 @@ Backends (``backend=`` kwarg) and what ships per shard
                monitors, and one :class:`~repro.billing.LedgerHead` per
                ledger — device key, grants, per-grant usage, clock, next
                index, head MAC; ~290 B however long the chain is.  Back
-               come the results, the appended ledger segments, the updated
-               monitors and the mutated sub-store.  The pickle *is* the
-               isolation copy; nothing the window mutates is deep-copied
-               parent-side.  On e0's aged 300-device world that is 1.8 MB
-               down and 1.3 MB up per shard — 87 KB of heads per window
+               come the per-device count columns, the appended ledger
+               segments, the updated monitors and the mutated sub-store
+               (a worker recompiles a plan the parent holds with
+               ``compile_model``).  The pickle *is* the isolation copy;
+               nothing the window mutates is deep-copied parent-side.  On
+               e0's aged 300-device world that is 1.8 MB down and 1.3 MB
+               up per shard — 87 KB of heads per window
                where whole ledgers were 1.46 MB and growing with every
                window ever served.  What is left is the monitors: 1.2 MB
                per shard each way (15 monitors' KS reference windows).
@@ -206,7 +213,7 @@ def _inject_faults(payload: Dict[str, object]) -> None:
 def _serve_shard_task(payload: Dict[str, object]) -> Dict[str, object]:
     """One serving shard: run the batched fleet-window sweep on a sub-world."""
     _inject_faults(payload)
-    from repro.core.serving import FleetServeReport, ServingEngine
+    from repro.core.serving import ServingEngine
     from repro.devices.fleet import Fleet
 
     monitors = payload["monitors"]
@@ -224,16 +231,15 @@ def _serve_shard_task(payload: Dict[str, object]) -> Dict[str, object]:
         monitors=monitors,
     )
     model_name: str = payload["model_name"]  # type: ignore[assignment]
-    if payload["plan_options"] is not None:
-        pipeline, apply_quantization = payload["plan_options"]  # type: ignore[misc]
-        engine.compile_model(model_name, pipeline=pipeline, apply_quantization=apply_quantization)
-    report = FleetServeReport(model_name=model_name)
-    results = engine._serve_fleet_window(
-        model_name, dict(payload["items"]), report, bits=payload["bits"]  # type: ignore[arg-type]
+    if payload["compiled"]:
+        engine.compile_model(model_name)
+    # Shard items are non-empty: the counts follow their order (rows are the sub-store's).
+    _, _, requested, granted, served = engine._serve_fleet_window(
+        model_name, dict(payload["items"]), bits=payload["bits"]  # type: ignore[arg-type]
     )
     return {
         "shard_index": payload["shard_index"],
-        "results": results,
+        "counts": (requested, granted, served),
         "ledger_segments": {
             device_id: head.export_segment(0) for device_id, head in engine.ledgers.items()
         },
@@ -503,11 +509,10 @@ class ShardedFleetRunner:
         """Serve one fleet window sharded; merge into ``report`` and the world.
 
         Byte-identical to ``engine._serve_fleet_window`` on the same window:
-        per-device results land in window order, ledgers extend by the same
+        per-device counts land in window order, ledgers extend by the same
         entries, monitors observe the same slices, planes end in the same
-        state.  Degenerate cases (single worker, <2 window devices, a
-        compiled plan whose lowering options were not recorded) fall back to
-        the single-process sweep directly.
+        state.  Degenerate cases (single worker, <2 window devices) fall
+        back to the single-process sweep directly.
         """
         items: List[Tuple[str, np.ndarray]] = []
         for device_id, x in window.items():
@@ -518,20 +523,12 @@ class ShardedFleetRunner:
             return
         n = len(items)
         workers = self.resolve_workers(n)
-        # A plan installed without recorded lowering options cannot be
-        # recompiled identically in a worker; serve it in-process.
-        plan_unreplayable = model_name in engine.plans and model_name not in engine._plan_options
-        if workers < 2 or n < 2 or plan_unreplayable:
-            engine._serve_fleet_window(model_name, dict(items), report, bits=bits)
+        if workers < 2 or n < 2:
+            report.record(*engine._serve_fleet_window(model_name, dict(items), bits=bits))
             return
 
         state = engine.fleet.state
         model = engine.models[model_name]
-        # The recorded lowering recipe may hold a caller's own PassPipeline;
-        # shards (which re-run it, some of them in this process) get a copy.
-        plan_options = None
-        if model_name in engine.plans:
-            plan_options = copy.deepcopy(engine._plan_options.get(model_name))
         groups = shard_row_groups(n, workers)
         payloads: List[Dict[str, object]] = []
         shard_rows: List[np.ndarray] = []
@@ -548,7 +545,7 @@ class ShardedFleetRunner:
                     "items": [items[k] for k in group],
                     "cost_model": engine.cost_model,
                     "models": {model_name: model},
-                    "plan_options": plan_options,
+                    "compiled": model_name in engine.plans,
                     # Chain heads, not histories: what travels is O(window),
                     # not O(everything the fleet ever metered).
                     "ledgers": {
@@ -574,8 +571,8 @@ class ShardedFleetRunner:
                     engine.ledgers[device_id].append_segment(segment)
             for device_id, monitor in task_result["monitors"].items():  # type: ignore[union-attr]
                 engine.monitors[device_id] = monitor
-            for result in task_result["results"]:  # type: ignore[union-attr]
-                report.add(result)
+            ids = [items[k][0] for k in groups[shard_index]]
+            report.record(ids, shard_rows[shard_index], *task_result["counts"])  # type: ignore[misc]
         report.shard_recoveries += len(recovered)
 
     # -- federated -------------------------------------------------------

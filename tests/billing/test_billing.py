@@ -396,8 +396,10 @@ class TestSegmentMerge:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("mac", "\u00e9" * 64), ("mac", b"0" * 64), ("mac", None), ("grant_id", object())],
-        ids=["non-ascii-mac", "bytes-mac", "none-mac", "unencodable-grant"],
+        [("mac", "\u00e9" * 64), ("mac", b"0" * 64), ("mac", None), ("grant_id", object()),
+         ("count", 2**70), ("count", 2.0), ("timestamp", "x")],
+        ids=["non-ascii-mac", "bytes-mac", "none-mac", "unencodable-grant",
+             "int64-overflow-count", "float-count", "str-timestamp"],
     )
     def test_malformed_entry_is_refused_not_raised(self, field, value):
         _, ledger = _metered(50, 4)

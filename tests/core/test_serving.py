@@ -329,17 +329,6 @@ class TestCompiledServing:
             plan.run(test.x[:32]).argmax(-1), model.predict_classes(test.x[:32])
         )
 
-    def test_recompile_preserves_custom_plan_options(self):
-        """A rebuild after weight updates must keep a custom lowering."""
-        from repro.exchange import PassPipeline, annotate_quantization
-
-        engine, _, _, _ = make_world()
-        custom = PassPipeline.standard_inference().add(lambda g: annotate_quantization(g, bits=8))
-        plan = engine.compile_model("m", pipeline=custom)
-        assert plan.graph.metadata.get("bits") == 8
-        rebuilt = engine.compile_model("m")  # no args: reuse stored options
-        assert rebuilt.graph.metadata.get("bits") == 8
-
 
 def make_fleet_world(n_devices: int = 6, quota: int = 1000, with_plan: bool = True, seed: int = 0):
     """A multi-device serving world with shared reference monitors."""
