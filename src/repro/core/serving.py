@@ -23,8 +23,8 @@ admission semantics of the per-query loop:
 
 Quota metering and the outcome are shared by every engine.  The outcome
 is columns (ids, fleet rows, int64 requested / granted / served counts) that
-:meth:`FleetServeReport.record` adds to one count block keyed by fleet row;
-``per_device`` is built only when read.  The
+:meth:`FleetServeReport.record` adds to one count block with a row per
+device seen; ``per_device`` is built only when read.  The
 default **fleet sweep** runs the other stages as one
 :meth:`~repro.devices.FleetState.draw_batch_rows` battery sweep, one
 compiled-plan :meth:`~repro.exchange.CompiledExecutor.run_many` call and
@@ -98,10 +98,11 @@ class FleetServeReport:
     billed* — the ledger meters admissions, and a partitioned device admits
     nothing.
 
-    Per-device counts are one int64 block keyed by fleet row, grown on
-    demand, with columns ``requested``, ``granted``, ``served`` and
-    ``network_failures`` (the other two keys are differences), beside the
-    device ids and their rows in first-seen order.  :attr:`per_device`
+    Per-device counts are one int64 block with a row per device seen, in
+    first-seen order, and columns ``requested``, ``granted``, ``served``
+    and ``network_failures`` (the other two keys are differences), beside
+    the device ids and their fleet rows in the same order; it grows with
+    the devices a report serves, not with the fleet.  :attr:`per_device`
     builds the ``{device_id: {key: int}}`` dict from them on read.
     """
 
@@ -114,21 +115,31 @@ class FleetServeReport:
     devices_with_drift: int = 0
     shard_recoveries: int = 0
     network_failures: int = 0
-    _block: np.ndarray = field(default_factory=lambda: np.zeros((0, 4), np.int64), init=False, repr=False)
     _ids: List[str] = field(default_factory=list, init=False, repr=False)
-    _order: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp), init=False, repr=False)
+    _rows: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64), init=False, repr=False)
+    _sorter: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _block: np.ndarray = field(default_factory=lambda: np.zeros((0, 4), np.int64), init=False, repr=False)
 
-    def _block_for(self, ids: Sequence[str], rows: np.ndarray) -> np.ndarray:
-        """The count block, grown to hold ``rows``; a row not seen yet (its
-        ``requested`` is still 0) puts its id next in the first-seen order."""
-        grow = int(rows.max(initial=-1)) + 1 - len(self._block)
-        if grow > 0:
-            self._block = np.pad(self._block, ((0, grow), (0, 0)))
-        fresh = np.flatnonzero(self._block[rows, 0] == 0)
+    def _positions(self, ids: Sequence[str], rows: np.ndarray) -> np.ndarray:
+        """Block positions of the distinct fleet ``rows``; a row not seen yet
+        gets a new block row, its id next in the first-seen order."""
+        seen = len(self._rows)
+        pos = np.full(len(rows), -1, dtype=np.intp)
+        if seen:
+            at = np.minimum(np.searchsorted(self._rows, rows, sorter=self._sorter), seen - 1)
+            if self._sorter is not None:
+                at = self._sorter[at]
+            pos = np.where(self._rows[at] == rows, at, -1)
+        fresh = np.flatnonzero(pos < 0)
         if fresh.size:
+            pos[fresh] = np.arange(seen, seen + fresh.size)
             self._ids += [ids[i] for i in fresh.tolist()]
-            self._order = np.concatenate([self._order, rows[fresh]])
-        return self._block
+            self._rows = np.concatenate([self._rows, rows[fresh]])
+            self._block = np.concatenate([self._block, np.zeros((fresh.size, 4), np.int64)])
+            # Windows mostly arrive in fleet order: no sort index while the rows ascend.
+            ascending = bool((self._rows[1:] > self._rows[:-1]).all())
+            self._sorter = None if ascending else np.argsort(self._rows, kind="stable")
+        return pos
 
     def record(self, ids: Sequence[str], rows: np.ndarray, requested: np.ndarray,
                granted: np.ndarray, served: np.ndarray) -> None:
@@ -140,13 +151,15 @@ class FleetServeReport:
         self.served += s
         self.denied_quota += n - g
         self.battery_failures += g - s
-        self._block_for(ids, rows)[rows, :3] += np.stack([requested, granted, served], axis=1)
+        pos = self._positions(ids, rows)  # may grow the block: index it after
+        self._block[pos, :3] += np.stack([requested, granted, served], axis=1)
 
     def add_network_failure(self, device_id: str, row: int, n_queries: int) -> None:
         """Account queries lost to a window-long device partition."""
         self.requested += n_queries
         self.network_failures += n_queries
-        self._block_for([device_id], np.array([row]))[row, [0, 3]] += n_queries
+        pos = self._positions([device_id], np.array([row]))[0]
+        self._block[pos, [0, 3]] += n_queries
 
     @property
     def per_device(self) -> Dict[str, Dict[str, int]]:
@@ -155,7 +168,7 @@ class FleetServeReport:
         return {
             device_id: {"requested": n, "served": s, "denied_quota": n - lost - g,
                         "battery_failures": g - s, "network_failures": lost}
-            for device_id, (n, g, s, lost) in zip(self._ids, self._block[self._order].tolist())
+            for device_id, (n, g, s, lost) in zip(self._ids, self._block.tolist())
         }
 
     def __eq__(self, other) -> bool:
@@ -207,9 +220,11 @@ class ServingEngine:
         self.ledgers: MutableMapping[str, UsageLedger] = ledgers if ledgers is not None else {}
         self.monitors: MutableMapping[str, EdgeMonitor] = monitors if monitors is not None else {}
         # Compiled plans (repro.exchange.CompiledExecutor) keyed by model
-        # name, opt-in via compile_model: a window runs its model's plan, if
-        # any, in place of the layer-by-layer nn forward.
+        # name; when present they replace the per-query nn.Model forward in
+        # serve_batch.  Opt-in via compile_model so existing worlds keep the
+        # model path untouched.
         self.plans: Dict[str, object] = {}
+        self._plan_options: Dict[str, tuple] = {}
         # Per-model inference-cost cache for the fleet sweep, keyed by
         # (profile, bits); invalidated when the model object for a name is
         # replaced (cost depends on architecture, not weights).
@@ -222,20 +237,32 @@ class ServingEngine:
         self.shard_runner = None
 
     # ------------------------------------------------------------------
-    def compile_model(self, model_name: str):
+    def compile_model(self, model_name: str, pipeline=None, apply_quantization: Optional[bool] = None):
         """Lower a deployed model into a compiled plan for the serving path.
 
         The model is exported to the graph IR, run through the standard
-        inference passes and compiled into a
-        :class:`~repro.exchange.CompiledExecutor`; subsequent windows for
-        this model execute the plan instead of the layer-by-layer ``nn``
-        forward.  Rebuilds after weight updates (e.g. a federated round) and
-        sharded workers call this again with the same name.
+        inference passes (or a caller-supplied
+        :class:`~repro.exchange.PassPipeline`) and compiled into a
+        :class:`~repro.exchange.CompiledExecutor`; subsequent
+        :meth:`serve_batch` calls for this model execute the plan instead of
+        the layer-by-layer ``nn`` forward.
+
+        Omitted arguments reuse the options of the previous
+        :meth:`compile_model` call for this model, so rebuilds after weight
+        updates (e.g. a federated round) keep any custom lowering.
         """
         from repro.exchange import CompiledExecutor, PassPipeline, from_sequential
 
-        graph = PassPipeline.standard_inference().run(from_sequential(self.models[model_name]))
-        plan = self.plans[model_name] = CompiledExecutor(graph)
+        stored_pipeline, stored_quant = self._plan_options.get(model_name, (None, True))
+        if pipeline is None:
+            pipeline = stored_pipeline
+        if apply_quantization is None:
+            apply_quantization = stored_quant
+        model = self.models[model_name]
+        lowering = pipeline or PassPipeline.standard_inference()
+        plan = CompiledExecutor(lowering.run(from_sequential(model)), apply_quantization=apply_quantization)
+        self.plans[model_name] = plan
+        self._plan_options[model_name] = (pipeline, apply_quantization)
         return plan
 
     def _predict_classes(self, model_name: str, x: np.ndarray) -> np.ndarray:
@@ -365,11 +392,10 @@ class ServingEngine:
         model = self.models[model_name]
         plan = self.plans.get(model_name)
         row_of, ledgers = self.fleet.row_of, self.ledgers
-        # Parallel lists: device_id, row, window, requested, granted.
+        # Parallel lists: device_id, row, window, granted.
         ids: List[str] = []
         rows: List[int] = []
         xs: List[np.ndarray] = []
-        ns: List[int] = []
         granteds: List[int] = []
         for device_id, x in window.items():
             x = np.asarray(x)
@@ -381,9 +407,8 @@ class ServingEngine:
             granteds.append(ledger.record_batch(model_name, n) if ledger is not None else n)
             ids.append(device_id)
             xs.append(x)
-            ns.append(n)
         row_arr = np.asarray(rows, dtype=np.intp)
-        requested = np.asarray(ns, dtype=np.int64)
+        requested = np.array([x.shape[0] for x in xs], dtype=np.int64)
         granted = np.asarray(granteds, dtype=np.int64)
         if per_device:
             devices = [self.fleet.get(device_id) for device_id in ids]

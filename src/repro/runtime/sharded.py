@@ -54,12 +54,11 @@ Backends (``backend=`` kwarg) and what ships per shard
                ledger — device key, grants, per-grant usage, clock, next
                index, head MAC; ~290 B however long the chain is.  Back
                come the per-device count columns, the appended ledger
-               segments, the updated monitors and the mutated sub-store
-               (a worker recompiles a plan the parent holds with
-               ``compile_model``).  The pickle *is* the isolation copy;
-               nothing the window mutates is deep-copied parent-side.  On
-               e0's aged 300-device world that is 1.8 MB down and 1.3 MB
-               up per shard — 87 KB of heads per window
+               segments, the updated monitors and the mutated sub-store.
+               The pickle *is* the isolation copy; nothing the window
+               mutates is deep-copied parent-side.  On e0's aged 300-device
+               world that is 1.8 MB down and 1.3 MB up per shard — 87 KB of
+               heads per window
                where whole ledgers were 1.46 MB and growing with every
                window ever served.  What is left is the monitors: 1.2 MB
                per shard each way (15 monitors' KS reference windows).
@@ -231,8 +230,9 @@ def _serve_shard_task(payload: Dict[str, object]) -> Dict[str, object]:
         monitors=monitors,
     )
     model_name: str = payload["model_name"]  # type: ignore[assignment]
-    if payload["compiled"]:
-        engine.compile_model(model_name)
+    if payload["plan_options"] is not None:
+        pipeline, apply_quantization = payload["plan_options"]  # type: ignore[misc]
+        engine.compile_model(model_name, pipeline=pipeline, apply_quantization=apply_quantization)
     # Shard items are non-empty: the counts follow their order (rows are the sub-store's).
     _, _, requested, granted, served = engine._serve_fleet_window(
         model_name, dict(payload["items"]), bits=payload["bits"]  # type: ignore[arg-type]
@@ -511,8 +511,9 @@ class ShardedFleetRunner:
         Byte-identical to ``engine._serve_fleet_window`` on the same window:
         per-device counts land in window order, ledgers extend by the same
         entries, monitors observe the same slices, planes end in the same
-        state.  Degenerate cases (single worker, <2 window devices) fall
-        back to the single-process sweep directly.
+        state.  Degenerate cases (single worker, <2 window devices, a
+        compiled plan whose lowering options were not recorded) fall back to
+        the single-process sweep directly.
         """
         items: List[Tuple[str, np.ndarray]] = []
         for device_id, x in window.items():
@@ -523,18 +524,28 @@ class ShardedFleetRunner:
             return
         n = len(items)
         workers = self.resolve_workers(n)
-        if workers < 2 or n < 2:
+        # A plan installed without recorded lowering options cannot be
+        # recompiled identically in a worker; serve it in-process.
+        plan_unreplayable = model_name in engine.plans and model_name not in engine._plan_options
+        if workers < 2 or n < 2 or plan_unreplayable:
             report.record(*engine._serve_fleet_window(model_name, dict(items), bits=bits))
             return
 
         state = engine.fleet.state
         model = engine.models[model_name]
+        # The recorded lowering recipe may hold a caller's own PassPipeline;
+        # shards (which re-run it, some of them in this process) get a copy.
+        plan_options = None
+        if model_name in engine.plans:
+            plan_options = copy.deepcopy(engine._plan_options.get(model_name))
         groups = shard_row_groups(n, workers)
         payloads: List[Dict[str, object]] = []
+        shard_ids: List[List[str]] = []
         shard_rows: List[np.ndarray] = []
         for shard_index, group in enumerate(groups):
             ids = [items[k][0] for k in group]
             rows = engine.fleet.rows_for(ids)
+            shard_ids.append(ids)
             shard_rows.append(rows)
             payloads.append(
                 {
@@ -545,7 +556,7 @@ class ShardedFleetRunner:
                     "items": [items[k] for k in group],
                     "cost_model": engine.cost_model,
                     "models": {model_name: model},
-                    "compiled": model_name in engine.plans,
+                    "plan_options": plan_options,
                     # Chain heads, not histories: what travels is O(window),
                     # not O(everything the fleet ever metered).
                     "ledgers": {
@@ -571,8 +582,7 @@ class ShardedFleetRunner:
                     engine.ledgers[device_id].append_segment(segment)
             for device_id, monitor in task_result["monitors"].items():  # type: ignore[union-attr]
                 engine.monitors[device_id] = monitor
-            ids = [items[k][0] for k in groups[shard_index]]
-            report.record(ids, shard_rows[shard_index], *task_result["counts"])  # type: ignore[misc]
+            report.record(shard_ids[shard_index], shard_rows[shard_index], *task_result["counts"])  # type: ignore[misc]
         report.shard_recoveries += len(recovered)
 
     # -- federated -------------------------------------------------------

@@ -329,6 +329,17 @@ class TestCompiledServing:
             plan.run(test.x[:32]).argmax(-1), model.predict_classes(test.x[:32])
         )
 
+    def test_recompile_preserves_custom_plan_options(self):
+        """A rebuild after weight updates must keep a custom lowering."""
+        from repro.exchange import PassPipeline, annotate_quantization
+
+        engine, _, _, _ = make_world()
+        custom = PassPipeline.standard_inference().add(lambda g: annotate_quantization(g, bits=8))
+        plan = engine.compile_model("m", pipeline=custom)
+        assert plan.graph.metadata.get("bits") == 8
+        rebuilt = engine.compile_model("m")  # no args: reuse stored options
+        assert rebuilt.graph.metadata.get("bits") == 8
+
 
 def make_fleet_world(n_devices: int = 6, quota: int = 1000, with_plan: bool = True, seed: int = 0):
     """A multi-device serving world with shared reference monitors."""
@@ -519,3 +530,52 @@ class TestServingKernels:
         assert result.served == 30
         assert calls == {"observe_window": 1, "execute_batch": 1, "observe_fleet": 0,
                          "draw_batch_rows": 0, "run_many": 0}
+
+
+class TestReportCounts:
+    """``FleetServeReport.per_device`` against a dict of dicts fed the same
+    windows: rows in any order, sparse rows of a large fleet, devices seen
+    again and partitioned devices."""
+
+    @staticmethod
+    def _oracle(report_calls):
+        per_device = {}
+        for kind, args in report_calls:
+            if kind == "record":
+                for device_id, n, g, s in zip(args[0], *(a.tolist() for a in args[2:])):
+                    stats = per_device.setdefault(device_id, dict.fromkeys(
+                        ("requested", "served", "denied_quota", "battery_failures", "network_failures"), 0))
+                    stats["requested"] += n
+                    stats["served"] += s
+                    stats["denied_quota"] += n - g
+                    stats["battery_failures"] += g - s
+            else:
+                device_id, _, n = args
+                stats = per_device.setdefault(device_id, dict.fromkeys(
+                    ("requested", "served", "denied_quota", "battery_failures", "network_failures"), 0))
+                stats["requested"] += n
+                stats["network_failures"] += n
+        return per_device
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_per_device_matches_a_dict_of_dicts(self, seed):
+        rng = np.random.default_rng(seed)
+        fleet_rows = rng.choice(1_000_000, size=40, replace=False)
+        report, calls = FleetServeReport(model_name="m"), []
+        for _ in range(6):
+            picked = rng.choice(40, size=int(rng.integers(1, 15)), replace=False)
+            ids = [f"d{k}" for k in picked.tolist()]
+            requested = rng.integers(1, 9, size=picked.size)
+            granted = requested - rng.integers(0, 2, size=picked.size)
+            served = granted - rng.integers(0, 2, size=picked.size)
+            args = (ids, fleet_rows[picked], requested, granted, served)
+            report.record(*args)
+            calls.append(("record", args))
+            k = int(rng.integers(40))
+            args = (f"d{k}", int(fleet_rows[k]), int(rng.integers(1, 5)))
+            report.add_network_failure(*args)
+            calls.append(("network", args))
+        expected = self._oracle(calls)
+        assert list(report.per_device.items()) == list(expected.items())
+        assert all(type(v) is int for stats in report.per_device.values() for v in stats.values())
+        assert report.requested == sum(s["requested"] for s in expected.values())

@@ -142,6 +142,22 @@ def test_sharded_runner_via_workers_kwarg():
     assert report_sharded.as_dict() == report_base.as_dict()
 
 
+def test_sharded_unreplayable_plan_falls_back_single_process():
+    """A plan installed without recorded lowering options (direct plans[...]
+    assignment) cannot be rebuilt in a worker; the runner degrades to the
+    in-process sweep and results stay identical."""
+    base, window = _serving_world(seed=17, n_devices=11, compile_plan=True)
+    report_base = base.serve_fleet("m", window)
+    snap_base = _serving_snapshot(base)
+
+    sharded, window_s = _serving_world(seed=17, n_devices=11, compile_plan=True)
+    sharded._plan_options.clear()  # simulate a hand-installed plan
+    sharded.shard_runner = ShardedFleetRunner(workers=4, backend="pickle")
+    report_sharded = sharded.serve_fleet("m", window_s, engine="sharded")
+    assert report_sharded.as_dict() == report_base.as_dict()
+    assert _serving_snapshot(sharded) == snap_base
+
+
 # ---------------------------------------------------------------------------
 # federated equivalence
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "runtime"))
 
 from _sharded_worlds import serving_world  # noqa: E402
 
+from repro.core.serving import ServingEngine  # noqa: E402
+from repro.devices import Fleet  # noqa: E402
+from repro.nn import make_mlp  # noqa: E402
 from repro.observability import EdgeMonitor  # noqa: E402
 
 
@@ -39,12 +42,9 @@ def _windows(seed: int, n_devices: int, n_windows: int):
     return engine, [window] + more
 
 
-def report_bytes_per_device_window() -> float:
-    """What e0's serve loop keeps: one ``FleetServeReport`` per window.
-    Monitors are dropped — they change no report byte, only the run time."""
-    n_devices, n_windows = 400, 8
-    engine, windows = _windows(seed=7, n_devices=n_devices, n_windows=n_windows)
-    engine.monitors.clear()
+def _report_bytes_per_device_window(engine, windows) -> float:
+    """Bytes that one ``FleetServeReport`` per window retains (what e0's
+    serve loop keeps), per device window served."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -56,12 +56,35 @@ def report_bytes_per_device_window() -> float:
         retained = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    return retained / (n_devices * n_windows)
+    return retained / sum(len(window) for window in windows)
 
 
-# The per-device dict of five-key dicts the count block replaced read 199.5 here.
+def dense_report_bytes() -> float:
+    """Every device of a 400-device fleet in each of 8 windows.  Monitors are
+    dropped: they change no report byte, only the run time."""
+    engine, windows = _windows(seed=7, n_devices=400, n_windows=8)
+    engine.monitors.clear()
+    return _report_bytes_per_device_window(engine, windows)
+
+
+def sparse_report_bytes() -> float:
+    """The 10 top-row devices of a 100 000-device fleet in each of 8 windows:
+    a report holds the devices it served, not the fleet rows below them."""
+    fleet = Fleet.random(100_000, seed=7)
+    engine = ServingEngine(fleet, models={"m": make_mlp(8, 4, hidden=(16,), seed=7)})
+    rng = np.random.default_rng(8)
+    top = fleet.state.device_ids[-10:]
+    windows = [{d: rng.normal(size=(int(rng.integers(1, 9)), 8)) for d in top} for _ in range(8)]
+    return _report_bytes_per_device_window(engine, windows)
+
+
+# The per-device dict of five-key dicts the count block replaced read 199.5
+# (dense) and 234.2 (sparse) here; a block keyed by fleet row, padded up to
+# the highest row served, read 48.1 dense but 320 067.6 sparse.
 BYTE_BUDGETS = [
-    ("FleetServeReport", "serving_world(7, 400), 8 one-window reports", 47.6, 60, report_bytes_per_device_window),
+    ("FleetServeReport-dense", "serving_world(7, 400), 8 one-window reports", 44.9, 57, dense_report_bytes),
+    ("FleetServeReport-sparse", "Fleet.random(100 000), top 10 rows, 8 one-window reports", 99.4, 125,
+     sparse_report_bytes),
 ]
 
 
