@@ -177,12 +177,6 @@ class EdgeDevice:
         self.installed[artifact.artifact_id] = artifact
         self._state.used_flash[self._idx] += artifact.size_bytes - freed
 
-    def uninstall(self, artifact_id: str) -> None:
-        """Remove an artifact if present."""
-        existing = self.installed.pop(artifact_id, None)
-        if existing is not None:
-            self._state.used_flash[self._idx] -= existing.size_bytes
-
     # -- execution -------------------------------------------------------
     def execute(self, cost: ExecutionCost, record: bool = True) -> bool:
         """Account for one model execution: drain battery, log telemetry.

@@ -47,7 +47,7 @@ the standard static-range deployment contract.
 **Adding a fused kernel**: add a ``_compile_<op>`` branch in
 :meth:`CompiledExecutor._compile_node` that captures everything derivable
 from ``node.attrs`` / folded params in closure locals, writes into buffers
-obtained from :meth:`CompiledExecutor._buf` keyed by ``(node_index, role)``,
+obtained from :meth:`_Workspace.buf` keyed by ``(node_index, role)``,
 applies activation quantization *before* the fused activation (matching the
 expanded reference order compute → quantize → activation), and appends any
 ``(A, B, C)`` GEMM triple to the ``gemms`` list when it is not ``None`` so
@@ -74,9 +74,8 @@ __all__ = ["CompiledExecutor", "FleetExecutor", "split_stacked"]
 def split_stacked(stacked: np.ndarray, sizes: Sequence[int]) -> List[np.ndarray]:
     """Split a stacked result tensor back into per-window views.
 
-    ``sizes`` may contain zeros (windows that contributed no rows); shared
-    by :meth:`CompiledExecutor.run_many` and
-    :meth:`repro.runtime.Pipeline.run_many`.
+    ``sizes`` may contain zeros (windows that contributed no rows); used by
+    :meth:`CompiledExecutor.run_many`.
     """
     outs: List[np.ndarray] = []
     offset = 0
@@ -102,6 +101,85 @@ def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return np.tanh(z, out=z)
     return A.get_activation(name)[0](z)
+
+
+class _Workspace:
+    """The scratch state a plan's steps close over.
+
+    Cached buffers, activation ranges and the calibrating flag live here,
+    not on the :class:`CompiledExecutor`, so the step closures never
+    reference their executor: a dropped plan is freed by reference counting
+    at once instead of waiting for the cycle collector.
+    """
+
+    def __init__(self, max_buffers: int) -> None:
+        # Buffers keyed by (node_index, role, shape).  Keying by shape lets
+        # the main chunk size and a remainder chunk coexist instead of
+        # thrashing one slot; a small LRU bounds the memory when a workload
+        # cycles through many batch sizes.
+        self.buffers: "OrderedDict[Tuple[int, str, Tuple[int, ...]], np.ndarray]" = OrderedDict()
+        self.max_buffers = max_buffers
+        # Activation-quantization site name -> calibrated max-abs range.
+        self.activation_ranges: Dict[str, float] = {}
+        self.calibrating = False
+
+    def buf(self, key: Tuple[int, str], shape: Tuple[int, ...], zero: bool = False) -> np.ndarray:
+        """Plan-owned float64 scratch buffer, allocated once per shape.
+
+        ``zero`` buffers start zero-filled on allocation (reused ones keep
+        whatever the caller left in them — pad buffers rely on this to zero
+        their border exactly once).
+        """
+        full_key = key + (shape,)
+        buf = self.buffers.get(full_key)
+        if buf is None:
+            buf = np.zeros(shape, dtype=np.float64) if zero else np.empty(shape, dtype=np.float64)
+            self.buffers[full_key] = buf
+            while len(self.buffers) > self.max_buffers:
+                self.buffers.popitem(last=False)
+        else:
+            self.buffers.move_to_end(full_key)
+        return buf
+
+    def quantize(self, site: str, x: np.ndarray, bits: int) -> np.ndarray:
+        """Quantize one site's activations: static range once calibrated,
+        dynamic (per-batch) range otherwise; calibration runs record the
+        observed range while still applying the dynamic quantizer, so
+        downstream sites calibrate on exactly the tensors they will see."""
+        if self.calibrating:
+            observed = float(np.max(np.abs(x))) if x.size else 0.0
+            prev = self.activation_ranges.get(site)
+            self.activation_ranges[site] = observed if prev is None else max(prev, observed)
+            return _fake_quantize(x, bits)
+        calibrated = self.activation_ranges.get(site)
+        if calibrated is None:
+            return _fake_quantize(x, bits)
+        return static_fake_quantize(x, bits, calibrated)
+
+    def padded(self, idx: int, x: np.ndarray, pad: int) -> np.ndarray:
+        """Zero-pad H/W into a plan-owned buffer (identity when pad == 0).
+
+        The border is zeroed only when the buffer is (re)allocated: the
+        interior is overwritten on every call and the border never is.
+        """
+        if not pad:
+            return x
+        n, h, w, c = x.shape
+        padded = self.buf((idx, "pad"), (n, h + 2 * pad, w + 2 * pad, c), zero=True)
+        padded[:, pad : pad + h, pad : pad + w, :] = x
+        return padded
+
+    def im2col(self, idx: int, x: np.ndarray, k: int, stride: int, pad: int) -> Tuple[np.ndarray, int, int]:
+        """im2col into a plan-owned column buffer (no per-call allocation)."""
+        x = self.padded(idx, x, pad)
+        n, hp, wp, c = x.shape
+        out_h = (hp - k) // stride + 1
+        out_w = (wp - k) // stride + 1
+        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+        windows = windows[:, ::stride, ::stride, :, :, :].transpose(0, 1, 2, 4, 5, 3)
+        cols = self.buf((idx, "cols"), (n * out_h * out_w, k * k * c))
+        np.copyto(cols.reshape(n, out_h, out_w, k, k, c), windows)
+        return cols, out_h, out_w
 
 
 class CompiledExecutor:
@@ -139,21 +217,15 @@ class CompiledExecutor:
         # i.e. the graph has no data-dependent (activation) quantization and
         # run_many may execute one stacked GEMM sweep over all windows.
         self.stacking_exact = True
-        # Activation-quantization sites (site name -> calibrated max-abs
-        # range).  Empty until calibrate_activations records the ranges;
-        # uncalibrated sites quantize dynamically per batch.
+        # Activation-quantization sites and their calibrated max-abs ranges
+        # (the workspace's dict).  Empty until calibrate_activations records
+        # the ranges; uncalibrated sites quantize dynamically per batch.
         self.quant_sites: List[str] = []
-        self.activation_ranges: Dict[str, float] = {}
-        self._calibrating = False
-        # Workspace buffers keyed by (node_index, role, shape).  Keying by
-        # shape lets the main chunk size and a remainder chunk coexist
-        # instead of thrashing one slot; a small LRU bounds the memory when
-        # a workload cycles through many batch sizes.
-        self._buffers: "OrderedDict[Tuple[int, str, Tuple[int, ...]], np.ndarray]" = OrderedDict()
-        # Capacity scales with plan depth (up to ~4 roles per node, times a
-        # main and a remainder chunk shape) so deep graphs never evict their
-        # own working set mid-run.
-        self._max_buffers = max(96, 8 * len(graph.nodes))
+        # Buffer capacity scales with plan depth (up to ~4 roles per node,
+        # times a main and a remainder chunk shape) so deep graphs never
+        # evict their own working set mid-run.
+        self._ws = _Workspace(max_buffers=max(96, 8 * len(graph.nodes)))
+        self.activation_ranges = self._ws.activation_ranges
         self._steps: List[_Step] = []
         self.n_gemm_steps = 0
         in_shapes = [graph.input_shape] + graph.shapes()[:-1]
@@ -163,48 +235,15 @@ class CompiledExecutor:
             self.calibrate_activations(calibration_data)
 
     # -- workspace ---------------------------------------------------------
-    def _buf(self, key: Tuple[int, str], shape: Tuple[int, ...], zero: bool = False) -> np.ndarray:
-        """Plan-owned float64 scratch buffer, allocated once per shape.
-
-        ``zero`` buffers start zero-filled on allocation (reused ones keep
-        whatever the caller left in them — pad buffers rely on this to zero
-        their border exactly once).
-        """
-        full_key = key + (shape,)
-        buf = self._buffers.get(full_key)
-        if buf is None:
-            buf = np.zeros(shape, dtype=np.float64) if zero else np.empty(shape, dtype=np.float64)
-            self._buffers[full_key] = buf
-            while len(self._buffers) > self._max_buffers:
-                self._buffers.popitem(last=False)
-        else:
-            self._buffers.move_to_end(full_key)
-        return buf
-
     def workspace_bytes(self) -> int:
         """Bytes currently held in cached workspaces (observability)."""
-        return int(sum(b.nbytes for b in self._buffers.values()))
+        return int(sum(b.nbytes for b in self._ws.buffers.values()))
 
     # -- activation quantization sites -------------------------------------
     def _new_quant_site(self, name: str) -> str:
         site = name if name not in self.quant_sites else f"{name}#{len(self.quant_sites)}"
         self.quant_sites.append(site)
         return site
-
-    def _quantize_site(self, site: str, x: np.ndarray, bits: int) -> np.ndarray:
-        """Quantize one site's activations: static range once calibrated,
-        dynamic (per-batch) range otherwise; calibration runs record the
-        observed range while still applying the dynamic quantizer, so
-        downstream sites calibrate on exactly the tensors they will see."""
-        if self._calibrating:
-            observed = float(np.max(np.abs(x))) if x.size else 0.0
-            prev = self.activation_ranges.get(site)
-            self.activation_ranges[site] = observed if prev is None else max(prev, observed)
-            return _fake_quantize(x, bits)
-        calibrated = self.activation_ranges.get(site)
-        if calibrated is None:
-            return _fake_quantize(x, bits)
-        return static_fake_quantize(x, bits, calibrated)
 
     def calibrate_activations(self, calibration_x: np.ndarray) -> Dict[str, float]:
         """Record static activation ranges on a calibration batch.
@@ -225,38 +264,13 @@ class CompiledExecutor:
         if calibration_x.shape[0] == 0:
             raise ValueError("calibration batch must contain at least one sample")
         self.activation_ranges.clear()
-        self._calibrating = True
+        self._ws.calibrating = True
         try:
             self._run_steps(calibration_x, None)
         finally:
-            self._calibrating = False
+            self._ws.calibrating = False
         self.stacking_exact = True
         return dict(self.activation_ranges)
-
-    def _padded(self, idx: int, x: np.ndarray, pad: int) -> np.ndarray:
-        """Zero-pad H/W into a plan-owned buffer (identity when pad == 0).
-
-        The border is zeroed only when the buffer is (re)allocated: the
-        interior is overwritten on every call and the border never is.
-        """
-        if not pad:
-            return x
-        n, h, w, c = x.shape
-        padded = self._buf((idx, "pad"), (n, h + 2 * pad, w + 2 * pad, c), zero=True)
-        padded[:, pad : pad + h, pad : pad + w, :] = x
-        return padded
-
-    def _im2col(self, idx: int, x: np.ndarray, k: int, stride: int, pad: int) -> Tuple[np.ndarray, int, int]:
-        """im2col into a plan-owned column buffer (no per-call allocation)."""
-        x = self._padded(idx, x, pad)
-        n, hp, wp, c = x.shape
-        out_h = (hp - k) // stride + 1
-        out_w = (wp - k) // stride + 1
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-        windows = windows[:, ::stride, ::stride, :, :, :].transpose(0, 1, 2, 4, 5, 3)
-        cols = self._buf((idx, "cols"), (n * out_h * out_w, k * k * c))
-        np.copyto(cols.reshape(n, out_h, out_w, k, k, c), windows)
-        return cols, out_h, out_w
 
     # -- compilation -------------------------------------------------------
     def _compile_node(self, idx: int, node: GraphNode, in_shape: Tuple[int, ...]) -> List[_Step]:
@@ -284,7 +298,8 @@ class CompiledExecutor:
         steps: List[_Step] = [kernel] if kernel is not None else []
         if act_bits < 32:
             site = self._new_quant_site(f"{node.name}/act")
-            steps.append(lambda x, gemms: self._quantize_site(site, x, act_bits))
+            ws = self._ws
+            steps.append(lambda x, gemms: ws.quantize(site, x, act_bits))
         if fused is not None:
             # Non-compute node carrying a fused activation (not produced by
             # the standard passes, but legal in the IR).
@@ -305,16 +320,17 @@ class CompiledExecutor:
             b = np.asarray(params["b"], dtype=np.float64)
         self.n_gemm_steps += 1
         site = self._new_quant_site(f"{node.name}/act") if act_bits < 32 else None
+        ws = self._ws
 
         def step(x: np.ndarray, gemms: Optional[List[GemmRecord]]) -> np.ndarray:
-            z = self._buf((idx, "out"), (x.shape[0], w.shape[1]))
+            z = ws.buf((idx, "out"), (x.shape[0], w.shape[1]))
             np.dot(x, w, out=z)
             if gemms is not None:
                 gemms.append((x.copy(), w, z.copy()))
             if b is not None:
                 z += b
             if site is not None:
-                z = self._quantize_site(site, z, act_bits)
+                z = ws.quantize(site, z, act_bits)
             if fused is not None:
                 z = _apply_activation(fused, z)
             return z
@@ -344,18 +360,19 @@ class CompiledExecutor:
             wmat = np.ascontiguousarray(w.reshape(-1, w.shape[-1]))
             self.n_gemm_steps += 1
         site = self._new_quant_site(f"{node.name}/act") if act_bits < 32 else None
+        ws = self._ws
 
         def step(x: np.ndarray, gemms: Optional[List[GemmRecord]]) -> np.ndarray:
             n = x.shape[0]
             if depthwise:
                 # Direct accumulation over the k*k kernel taps: one fused
                 # multiply-add per tap on strided views, no column matrix.
-                xp = self._padded(idx, x, pad)
+                xp = ws.padded(idx, x, pad)
                 c = x.shape[3]
                 out_h = (xp.shape[1] - k) // stride + 1
                 out_w = (xp.shape[2] - k) // stride + 1
-                z = self._buf((idx, "z"), (n, out_h, out_w, c))
-                tmp = self._buf((idx, "tmp"), z.shape)
+                z = ws.buf((idx, "z"), (n, out_h, out_w, c))
+                tmp = ws.buf((idx, "tmp"), z.shape)
                 z.fill(0.0)
                 for ki in range(k):
                     for kj in range(k):
@@ -368,14 +385,14 @@ class CompiledExecutor:
                 xs = x if stride == 1 else np.ascontiguousarray(x[:, ::stride, ::stride, :])
                 out_h, out_w = xs.shape[1], xs.shape[2]
                 cols = xs.reshape(-1, xs.shape[3])
-                z = self._buf((idx, "z"), (cols.shape[0], wmat.shape[1]))
+                z = ws.buf((idx, "z"), (cols.shape[0], wmat.shape[1]))
                 np.dot(cols, wmat, out=z)
                 if gemms is not None:
                     gemms.append((cols.copy(), wmat, z.copy()))
                 out_c = wmat.shape[1]
             else:
-                cols, out_h, out_w = self._im2col(idx, x, k, stride, pad)
-                z = self._buf((idx, "z"), (cols.shape[0], wmat.shape[1]))
+                cols, out_h, out_w = ws.im2col(idx, x, k, stride, pad)
+                z = ws.buf((idx, "z"), (cols.shape[0], wmat.shape[1]))
                 np.dot(cols, wmat, out=z)
                 if gemms is not None:
                     gemms.append((cols.copy(), wmat, z.copy()))
@@ -385,7 +402,7 @@ class CompiledExecutor:
             # Per-tensor quantization and element-wise activations are
             # shape-independent, so both run on the GEMM/tap output directly.
             if site is not None:
-                z = self._quantize_site(site, z, act_bits)
+                z = ws.quantize(site, z, act_bits)
             if fused is not None:
                 z = _apply_activation(fused, z)
             return z.reshape(n, out_h, out_w, out_c)
@@ -396,6 +413,7 @@ class CompiledExecutor:
         """Kernels with no GEMM; returns None for identity ops."""
         op = node.op_type
         attrs = node.attrs
+        ws = self._ws
         if op in ("input", "dropout", "dequantize"):
             return None
         if op == "batchnorm":
@@ -405,7 +423,7 @@ class CompiledExecutor:
             shift = params["beta"] - params["running_mean"] * scale
 
             def bn(x: np.ndarray, gemms: Optional[List[GemmRecord]]) -> np.ndarray:
-                out = self._buf((idx, "out"), x.shape)
+                out = ws.buf((idx, "out"), x.shape)
                 np.multiply(x, scale, out=out)
                 out += shift
                 return out
@@ -415,9 +433,9 @@ class CompiledExecutor:
 
             def act(x: np.ndarray, gemms: Optional[List[GemmRecord]], _op: str = op) -> np.ndarray:
                 if _op == "relu":
-                    return np.maximum(x, 0.0, out=self._buf((idx, "out"), x.shape))
+                    return np.maximum(x, 0.0, out=ws.buf((idx, "out"), x.shape))
                 if _op == "relu6":
-                    return np.clip(x, 0.0, 6.0, out=self._buf((idx, "out"), x.shape))
+                    return np.clip(x, 0.0, 6.0, out=ws.buf((idx, "out"), x.shape))
                 return A.get_activation(_op)[0](x)
 
             return act
@@ -432,7 +450,7 @@ class CompiledExecutor:
                 # one big axis-pair reduction (much friendlier access pattern).
                 n, h, w, c = x.shape
                 oh, ow = h // p, w // p
-                out = self._buf((idx, "out"), (n, oh, ow, c))
+                out = ws.buf((idx, "out"), (n, oh, ow, c))
                 np.copyto(out, x[:, 0 : oh * p : p, 0 : ow * p : p, :])
                 for di in range(p):
                     for dj in range(p):
@@ -454,7 +472,7 @@ class CompiledExecutor:
         if op == "quantize":
             q_bits = int(attrs.get("bits", 8))
             q_site = self._new_quant_site(node.name)
-            return lambda x, gemms: self._quantize_site(q_site, x, q_bits)
+            return lambda x, gemms: ws.quantize(q_site, x, q_bits)
         if op == "normalize":
             mean = np.asarray(attrs.get("mean", 0.0))
             std = np.asarray(attrs.get("std", 1.0))

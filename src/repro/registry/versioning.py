@@ -164,13 +164,6 @@ class ModelRegistry:
         """Version a device currently runs for a model (None if not deployed)."""
         return self.deployments.get(device_id, {}).get(model_name)
 
-    def devices_running(self, version_id: str) -> List[str]:
-        """Devices currently running a specific version."""
-        version = self.get(version_id)
-        return sorted(
-            dev for dev, models in self.deployments.items() if models.get(version.model_name) == version_id
-        )
-
     def deployment_histogram(self, model_name: str) -> Dict[str, int]:
         """Count of devices per deployed version of a model."""
         hist: Dict[str, int] = {}

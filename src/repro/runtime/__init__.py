@@ -1,5 +1,17 @@
-"""Portable module runtime: sandboxed pipelines, orchestration, offloading,
-and the sharded multi-process fleet backend (:mod:`repro.runtime.sharded`)."""
+"""Portable module runtime and the sharded multi-process fleet backend.
+
+* :mod:`~repro.runtime.modules` and :mod:`~repro.runtime.pipeline` — the
+  pipeline a deploy installs (paper Section III-A), run under the capability
+  sandbox (Section IV);
+* :mod:`~repro.runtime.orchestrator` — placement of a pipeline on fleet
+  devices, under storage and capability constraints;
+* :mod:`~repro.runtime.offload` — the offloading marketplace and the
+  edge/cloud split search (Section IV);
+* :mod:`~repro.runtime.sharded` — the sharded multi-process fleet backend.
+
+Roll-outs go through :class:`~repro.lifecycle.LifecyclePipeline`, and
+batched inference through :class:`~repro.exchange.CompiledExecutor`.
+"""
 
 from .modules import (
     Capability,
@@ -7,14 +19,11 @@ from .modules import (
     Sandbox,
     SandboxViolation,
     argmax_module,
-    graph_module,
     model_module,
-    normalize_module,
     softmax_module,
-    threshold_module,
 )
 from .offload import OffloadBid, OffloadMarketplace, SplitDecision, find_best_split
-from .orchestrator import Orchestrator, PlacementDecision, RolloutPlan
+from .orchestrator import Orchestrator, PlacementDecision
 from .pipeline import ConditionalStage, Pipeline
 from .sharded import ShardedFleetRunner, shard_row_groups
 
@@ -23,17 +32,13 @@ __all__ = [
     "Module",
     "Sandbox",
     "SandboxViolation",
-    "normalize_module",
-    "threshold_module",
     "argmax_module",
     "softmax_module",
     "model_module",
-    "graph_module",
     "Pipeline",
     "ConditionalStage",
     "Orchestrator",
     "PlacementDecision",
-    "RolloutPlan",
     "OffloadMarketplace",
     "OffloadBid",
     "SplitDecision",

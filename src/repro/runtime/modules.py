@@ -24,12 +24,9 @@ __all__ = [
     "Module",
     "Sandbox",
     "SandboxViolation",
-    "normalize_module",
-    "threshold_module",
     "argmax_module",
     "softmax_module",
     "model_module",
-    "graph_module",
 ]
 
 
@@ -95,10 +92,6 @@ class Sandbox:
         self.device_id = device_id
         self.execution_log: List[Dict[str, object]] = []
 
-    def can_run(self, module: Module) -> bool:
-        """Whether every required capability is granted."""
-        return module.requires <= self.granted
-
     def run(self, module: Module, x: np.ndarray) -> np.ndarray:
         """Execute a module, enforcing the capability policy."""
         missing = module.requires - self.granted
@@ -114,25 +107,6 @@ class Sandbox:
 # ---------------------------------------------------------------------------
 # standard module factories
 # ---------------------------------------------------------------------------
-
-def normalize_module(mean: float | np.ndarray = 0.0, std: float | np.ndarray = 1.0, name: str = "normalize") -> Module:
-    """Input normalization ``(x - mean) / std``."""
-    mean_arr = np.asarray(mean, dtype=np.float64)
-    std_arr = np.asarray(std, dtype=np.float64)
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - mean_arr) / std_arr
-
-    return Module(name=name, fn=fn, metadata={"mean": mean, "std": std}, size_bytes=256)
-
-
-def threshold_module(value: float = 0.5, name: str = "threshold") -> Module:
-    """Binarize scores at a threshold."""
-    def fn(x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) >= value).astype(np.float64)
-
-    return Module(name=name, fn=fn, metadata={"value": value}, size_bytes=128)
-
 
 def argmax_module(name: str = "argmax") -> Module:
     """Class decision from logits/probabilities."""
@@ -157,33 +131,4 @@ def model_module(model, name: Optional[str] = None, bits: int = 32) -> Module:
         requires=frozenset({Capability.COMPUTE}),
         size_bytes=int(np.ceil(model.num_params() * bits / 8)),
         metadata={"kind": "model", "params": model.num_params(), "bits": bits},
-    )
-
-
-def graph_module(graph, name: Optional[str] = None) -> Module:
-    """Wrap a lowered :class:`repro.exchange.GraphIR` as a pipeline module.
-
-    The graph executes through the compiled plan
-    (:class:`repro.exchange.CompiledExecutor`): fused activations run
-    natively (no re-expansion), quantized weights are folded once, and
-    workspaces are reused across calls.
-    """
-    from repro.exchange.compiled import CompiledExecutor
-
-    executor = CompiledExecutor(graph)
-    return Module(
-        name=name or graph.name,
-        fn=executor.run,
-        requires=frozenset({Capability.COMPUTE}),
-        size_bytes=graph.size_bytes(),
-        metadata={
-            "kind": "graph",
-            "bits": graph.metadata.get("bits", 32),
-            "target": graph.metadata.get("target"),
-            "compiled": True,
-            # Data-dependent quantization makes per-sample outputs depend on
-            # the rest of the batch; Pipeline.run_many must not stack
-            # windows through such a module.
-            "stackable": executor.stacking_exact,
-        },
     )

@@ -62,10 +62,6 @@ class OffloadMarketplace:
         """Add or update a device's offer."""
         self.bids[bid.device_id] = bid
 
-    def withdraw(self, device_id: str) -> None:
-        """Remove a device from the marketplace."""
-        self.bids.pop(device_id, None)
-
     def place_workload(
         self,
         flops: float,
@@ -118,12 +114,6 @@ class SplitDecision:
     total_latency_s: float
     all_edge_latency_s: float
     all_cloud_latency_s: float
-
-    def speedup_vs_edge(self) -> float:
-        return self.all_edge_latency_s / max(self.total_latency_s, 1e-12)
-
-    def speedup_vs_cloud(self) -> float:
-        return self.all_cloud_latency_s / max(self.total_latency_s, 1e-12)
 
 
 def find_best_split(

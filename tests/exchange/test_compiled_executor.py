@@ -8,6 +8,9 @@ activations) is the semantic oracle throughout.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -198,6 +201,26 @@ class TestRunMany:
         assert len(gemms) == plan.n_gemm_steps == 3  # conv + 2 dense
         for a, b, c in gemms:
             np.testing.assert_allclose(a @ b, c, atol=1e-9, rtol=1e-9)
+
+
+class TestPlanLifetime:
+    @pytest.mark.parametrize("model,x", ZOO, ids=ZOO_IDS)
+    def test_dropped_plan_is_freed_by_refcount(self, model, x):
+        """The steps close over the plan's workspace, never the plan: a
+        dropped plan goes at once, without the cycle collector."""
+        lowered = PassPipeline.standard_inference().run(from_sequential(model))
+        graphs = [from_sequential(model), annotate_quantization(lowered, bits=8, activation_bits=8)]
+        gc.collect()
+        gc.disable()
+        try:
+            for graph in graphs:
+                plan = CompiledExecutor(graph, calibration_data=x)
+                plan.run(x)
+                freed = weakref.ref(plan)
+                del plan
+                assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestActivationCalibration:

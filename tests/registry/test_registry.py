@@ -164,7 +164,7 @@ class TestModelRegistry:
         v = registry.register_model(trained_mlp)
         registry.record_deployment("dev-1", v.version_id)
         registry.record_deployment("dev-2", v.version_id)
-        assert registry.devices_running(v.version_id) == ["dev-1", "dev-2"]
+        assert registry.deployments == {"dev-1": {trained_mlp.name: v.version_id}, "dev-2": {trained_mlp.name: v.version_id}}
         assert registry.deployment_histogram(trained_mlp.name) == {v.version_id: 2}
         assert registry.deployed_version("dev-1", trained_mlp.name) == v.version_id
 

@@ -56,13 +56,6 @@ class TestPlaceWorkload:
         market.register_bid(OffloadBid("up", get_profile("phone-mid"), 0.01, _wifi()))
         assert market.place_workload(1e9, 1e4).device_id == "up"
 
-    def test_withdraw_removes_bidder(self):
-        market = OffloadMarketplace()
-        market.register_bid(OffloadBid("dev", get_profile("edge-server"), 0.01, _wifi()))
-        market.withdraw("dev")
-        market.withdraw("dev")  # idempotent
-        assert market.place_workload(1e9, 1e4) is None
-
     def test_latency_objective_includes_transfer(self):
         """A fast device behind a slow link loses to a slower local one."""
         market = OffloadMarketplace()
@@ -96,8 +89,8 @@ class TestFindBestSplit:
         )
         assert decision.total_latency_s <= decision.all_edge_latency_s + 1e-12
         assert decision.total_latency_s <= decision.all_cloud_latency_s + 1e-12
-        assert decision.speedup_vs_edge() >= 1.0 - 1e-9
-        assert decision.speedup_vs_cloud() >= 1.0 - 1e-9
+        assert decision.all_edge_latency_s / max(decision.total_latency_s, 1e-12) >= 1.0 - 1e-9
+        assert decision.all_cloud_latency_s / max(decision.total_latency_s, 1e-12) >= 1.0 - 1e-9
 
     def test_all_cloud_when_edge_is_hopeless(self):
         """A crippled edge device over a fast link offloads everything."""

@@ -28,6 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "runtime"))
 
 from _sharded_worlds import serving_world  # noqa: E402
 
+from repro.core import TinyMLOpsPlatform  # noqa: E402
 from repro.core.serving import ServingEngine  # noqa: E402
 from repro.devices import Fleet  # noqa: E402
 from repro.nn import make_mlp  # noqa: E402
@@ -78,6 +79,32 @@ def sparse_report_bytes() -> float:
     return _report_bytes_per_device_window(engine, windows)
 
 
+def redeploy_runtime_bytes() -> float:
+    """Bytes ``repro/runtime/`` retains per device for each redeploy of one
+    model on a 400-device fleet.  tracemalloc runs from before the first of
+    four deploys; the row reads the growth from the second deploy to the
+    fourth, because the first redeploy, replacing each device's first
+    install, releases a one-off 2.6 KB.  Billing's growth per redeploy (the
+    grants it sells) is by design and not counted here."""
+    rng = np.random.default_rng(7)
+    platform = TinyMLOpsPlatform(Fleet.random(400, seed=7))
+    platform.release(make_mlp(8, 4, hidden=(16,), seed=7, name="m"), rng.normal(size=(64, 8)),
+                     rng.integers(0, 4, size=64))
+    runtime_only = [tracemalloc.Filter(True, "*/repro/runtime/*")]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = []
+        for _ in range(2):
+            platform.deploy("m")
+            platform.deploy("m")
+            gc.collect()
+            held.append(sum(t.size for t in tracemalloc.take_snapshot().filter_traces(runtime_only).traces))
+    finally:
+        tracemalloc.stop()
+    return (held[1] - held[0]) / (2 * len(platform.fleet))
+
+
 # The per-device dict of five-key dicts the count block replaced read 199.5
 # (dense) and 234.2 (sparse) here; a block keyed by fleet row, padded up to
 # the highest row served, read 48.1 dense but 320 067.6 sparse.
@@ -85,6 +112,10 @@ BYTE_BUDGETS = [
     ("FleetServeReport-dense", "serving_world(7, 400), 8 one-window reports", 44.9, 57, dense_report_bytes),
     ("FleetServeReport-sparse", "Fleet.random(100 000), top 10 rows, 8 one-window reports", 99.4, 125,
      sparse_report_bytes),
+    # The orchestrator's placement log and per-device name lists read ≈ 112
+    # here: every redeploy appended a decision and a name per device.
+    ("runtime-redeploy", "Fleet.random(400, seed=7), one model deployed 4 times", 0.0, 0,
+     redeploy_runtime_bytes),
 ]
 
 

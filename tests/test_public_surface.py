@@ -77,20 +77,10 @@ ALLOWLIST: Dict[str, str] = {
     "pseudo_label": "paper III-D: federated learning on largely unlabeled data",
     "drop_labels": "paper III-D: federated learning on largely unlabeled data",
     "structured_prune_dense": "paper II: structured pruning as a TinyML efficiency lever",
+    "grant_capabilities": "paper IV: the capability sandbox placement honours",
     # Decided by another ROADMAP item.
     "transmission_cost": "ROADMAP 18b decides the uplink cost model",
     "transfer_cost": "ROADMAP 18b decides the uplink cost model",
-    "can_run": "ROADMAP 3e audits runtime/",
-    "normalize_module": "ROADMAP 3e audits runtime/",
-    "threshold_module": "ROADMAP 3e audits runtime/",
-    "graph_module": "ROADMAP 3e audits runtime/",
-    "withdraw": "ROADMAP 3e audits runtime/",
-    "speedup_vs_edge": "ROADMAP 3e audits runtime/",
-    "speedup_vs_cloud": "ROADMAP 3e audits runtime/",
-    "grant_capabilities": "ROADMAP 3e audits runtime/",
-    "place_everywhere": "ROADMAP 3e audits runtime/",
-    "broadcast": "ROADMAP 3e audits runtime/",
-    "RolloutPlan": "ROADMAP 3e audits runtime/",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
