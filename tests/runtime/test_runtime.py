@@ -102,6 +102,40 @@ class TestPipeline:
         with pytest.raises(SandboxViolation):
             pipeline.run(test.x[:4], sandbox=Sandbox(granted=(Capability.COMPUTE,)))
 
+    def test_sandboxed_run_matches_free_run_and_logs_each_stage(self, trained_mlp, blobs):
+        _, test = blobs
+        pipeline = Pipeline([model_module(trained_mlp), argmax_module()], name="audited")
+        fleet = Fleet.random(1, seed=13)
+        sandbox = Orchestrator(fleet).grant_capabilities(next(iter(fleet)).device_id, (Capability.COMPUTE,))
+        np.testing.assert_array_equal(pipeline.run(test.x[:3], sandbox=sandbox), pipeline.run(test.x[:3]))
+        assert [e["module"] for e in sandbox.execution_log] == ["fixture_mlp", "argmax"]
+        assert all(e["n"] == 3 for e in sandbox.execution_log)
+
+    def test_cascade_assembles_each_branch_on_its_rows(self, trained_mlp, blobs):
+        train, test = blobs
+        small = make_mlp(12, 4, hidden=(4,), seed=51)
+        small.fit(train.x, train.y, epochs=1, lr=0.02)
+        cheap = Pipeline([model_module(small)], name="cheap")
+        accurate = Pipeline([model_module(trained_mlp)], name="accurate")
+        x = test.x[:16]
+        mask = np.linalg.norm(x, axis=1) < np.median(np.linalg.norm(x, axis=1))
+        stage = ConditionalStage("escalate", predicate=lambda _: mask, if_true=cheap, if_false=accurate)
+        out = Pipeline([stage], name="cascade").run(x)
+        assert out.shape == (16, 4)
+        np.testing.assert_array_equal(out[mask], cheap.run(x[mask]))
+        np.testing.assert_array_equal(out[~mask], accurate.run(x[~mask]))
+
+    def test_cascade_rejects_a_mask_of_the_wrong_length(self, trained_mlp, blobs):
+        _, test = blobs
+        branch = Pipeline([model_module(trained_mlp)], name="b")
+        stage = ConditionalStage("bad", predicate=lambda x: np.ones(len(x) - 1, dtype=bool), if_true=branch, if_false=branch)
+        with pytest.raises(ValueError):
+            Pipeline([stage]).run(test.x[:4])
+
+    def test_empty_window_keeps_the_output_width(self, trained_mlp):
+        pipeline = Pipeline([model_module(trained_mlp), softmax_module()], name="clf")
+        assert pipeline.run(np.empty((0, 12))).shape == (0, 4)
+
 
 def _place_on_fleet(orchestrator: Orchestrator, pipeline: Pipeline) -> dict:
     """``place`` on every device of the fleet; success/failure counts."""
@@ -162,6 +196,31 @@ class TestOrchestration:
         )
         result = _place_on_fleet(orchestrator, needs_network)
         assert result["placed"] == 0
+
+    def test_capability_grant_decides_placement_per_device(self, trained_mlp):
+        fleet = Fleet.random(3, seed=11)
+        orchestrator = Orchestrator(fleet)
+        granted, denied, unrestricted = [d.device_id for d in fleet]
+        orchestrator.grant_capabilities(granted, (Capability.COMPUTE, Capability.NETWORK))
+        orchestrator.grant_capabilities(denied, (Capability.COMPUTE,))
+        pipeline = Pipeline(
+            [model_module(trained_mlp), Module("uplink", fn=lambda x: x, requires=frozenset({Capability.NETWORK}))],
+            name="uplink-clf",
+        )
+        decisions = {d.device_id: d for d in orchestrator.place(pipeline, [granted, denied, unrestricted])}
+        assert decisions[granted].placed and decisions[unrestricted].placed  # no sandbox: unrestricted
+        assert not decisions[denied].placed
+        assert decisions[denied].reason == "missing capabilities: ['network']"
+        assert "uplink-clf" not in fleet.get(denied).installed
+
+    def test_placement_records_the_manifest_on_the_device(self, trained_mlp):
+        fleet = Fleet.random(2, seed=9)
+        pipeline = Pipeline([model_module(trained_mlp), argmax_module()], name="wake", version="2.0")
+        Orchestrator(fleet).place(pipeline, [d.device_id for d in fleet])
+        for device in fleet:
+            artifact = device.installed["wake"]
+            assert artifact.version == "2.0" and artifact.size_bytes == pipeline.size_bytes()
+            assert artifact.metadata == pipeline.manifest()
 
 
 class TestOffloading:
