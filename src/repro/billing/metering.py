@@ -570,8 +570,11 @@ class LedgerHead(UsageLedger):
 
     :meth:`record_batch` / :meth:`record_query` extend the parent's chain
     byte-for-byte as the parent itself would have (its columns hold only
-    what was metered since :meth:`UsageLedger.fork_head`).  Everything that
-    needs the history raises, so a head can never pass for a ledger.
+    what was metered since :meth:`UsageLedger.fork_head`), and so does
+    :meth:`append_segment`, which checks a segment against the head alone
+    (a canary sandbox's heads take a sharded window's segments this way).
+    Everything that needs the history raises, so a head can never pass for
+    a ledger.
     """
 
     def __init__(self, ledger: UsageLedger) -> None:
@@ -585,4 +588,4 @@ class LedgerHead(UsageLedger):
     def _needs_history(self, *args, **kwargs):
         raise TypeError(f"ledger head of {self.device_id!r} holds no chain history")
 
-    used = append_segment = verify_chain = export = _needs_history
+    used = verify_chain = export = _needs_history

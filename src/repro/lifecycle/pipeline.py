@@ -38,8 +38,11 @@ Architecture (one cycle)
    :meth:`~repro.registry.ModelRegistry.stale_variants` by matching
    (kind, recipe, pipeline) identity.
 4. **Canary** — a deterministic, seeded slice of the deployed fleet is
-   *cloned* (``FleetState.extract_rows`` + deep-copied ledgers/monitors)
-   into a sandbox :class:`~repro.core.serving.ServingEngine`; candidate and
+   *cloned* into a sandbox :class:`~repro.core.serving.ServingEngine`: its
+   planes (``FleetState.extract_rows``), each ledger's head
+   (:meth:`~repro.billing.UsageLedger.fork_head`: grants, usage, clock and
+   head MAC, never the chain history) and deep-copied monitors, which
+   share their read-only reference blocks with production's.  Candidate and
    incumbent each serve the *same* seeded traffic windows through the
    existing one-sweep ``serve_fleet`` path.  The production fleet's planes,
    MAC-chained ledgers and monitors are byte-for-byte untouched (the tests
@@ -623,15 +626,21 @@ class LifecyclePipeline:
         """A serving engine over *clones* of the canary devices' state.
 
         ``FleetState.extract_rows`` copies the planes (deep-copying RNG
-        streams) and the ledgers/monitors are deep-copied, so nothing the
-        canary does can perturb the production fleet — the same isolation
-        contract the sharded backend's workers rely on.
+        streams), each ledger is forked at its head and each monitor is
+        deep-copied, so nothing the canary does can perturb the production
+        fleet — the same isolation contract the sharded backend's workers
+        rely on.  What the copies cost does not grow with production's
+        history: a head is O(#grants) however long the chain, and a monitor
+        copy shares its read-only reference block.  A sandbox ledger meters
+        like the real one but refuses to read its history (``used``,
+        ``export``, ``verify_chain`` raise ``TypeError``), so a metric probe
+        cannot read one by mistake.
         """
         platform = self.platform
         rows = platform.fleet.rows_for(canary_ids)
         sub_fleet = Fleet.from_state(platform.fleet.state.extract_rows(rows))
         ledgers = {
-            device_id: copy.deepcopy(platform.ledgers[device_id])
+            device_id: platform.ledgers[device_id].fork_head()
             for device_id in canary_ids
             if device_id in platform.ledgers
         }

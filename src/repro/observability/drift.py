@@ -33,10 +33,16 @@ Two scoring paths produce the same statistics:
   equality).  Detectors default to the batched path; construct them with
   ``engine="oracle"`` (the unified toggle of :mod:`repro.dispatch`) to keep
   the oracle in the hot loop (benchmarks use this as the baseline).
+
+Every detector holds its reference as a :class:`ReferenceBlock`: one
+read-only array (and its column-sorted copy) per distinct reference, shared
+by every detector, deep copy and unpickled copy built from equal bytes.
 """
 
 from __future__ import annotations
 
+import weakref
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -54,6 +60,7 @@ __all__ = [
     "population_stability_index_columns",
     "jensen_shannon_divergence_columns",
     "prediction_js_columns",
+    "ReferenceBlock",
     "DriftResult",
     "StreamingDriftDetector",
     "KSDetector",
@@ -397,6 +404,88 @@ def _record_result(history: List[DriftResult], statistic: float, threshold: floa
     return result
 
 
+# Live blocks by (shape, crc32 of the bytes); blocks whose keys collide are
+# told apart by their bytes.  Entries go when their block is freed.
+_BLOCKS: Dict[Tuple[Tuple[int, ...], int], List["weakref.ref[ReferenceBlock]"]] = {}
+
+
+def _forget(key: Tuple[Tuple[int, ...], int], dead: "weakref.ref[ReferenceBlock]") -> None:
+    bucket = _BLOCKS.get(key)
+    if bucket is not None:
+        bucket.remove(dead)
+        if not bucket:
+            del _BLOCKS[key]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class ReferenceBlock:
+    """A detector's reference sample, shared read-only by every detector
+    built from the same bytes.
+
+    A deployment ships one reference window to every device it reaches, so
+    without sharing each monitor of a fleet would hold its own copy of the
+    array and of its column-sorted copy.  :meth:`of` interns blocks by
+    content in a weak table: a cheap key (shape and ``zlib.crc32`` of the
+    bytes), then an exact byte comparison.  Equal bytes give the same
+    object — so :class:`~repro.observability.FleetMonitor` groups detectors
+    by block identity — while ``-0.0`` against ``0.0``, or two NaN payloads,
+    give different blocks.  A block lives as long as a detector (or anything
+    else) holds it.
+
+    ``reference`` is a float64 copy made once, and ``reference_sorted`` /
+    ``ravel_sorted`` are built from it on first use; all three are
+    read-only, so no holder can change what the others score against.  A
+    deep copy is the block itself, and a pickle carries the reference once
+    and re-interns it on load.
+    """
+
+    __slots__ = ("reference", "_sorted", "_ravel_sorted", "__weakref__")
+
+    reference: np.ndarray
+
+    @classmethod
+    def of(cls, reference: np.ndarray) -> "ReferenceBlock":
+        """The live block holding ``reference``'s bytes, made if there is none."""
+        ref = np.asarray(reference, dtype=np.float64, order="C")
+        key = (ref.shape, zlib.crc32(ref))
+        for weak in _BLOCKS.get(key, ()):
+            block = weak()
+            if block is not None and block.reference.tobytes() == ref.tobytes():
+                return block
+        block = object.__new__(cls)
+        block.reference = _read_only(ref.copy())
+        block._sorted = block._ravel_sorted = None
+        _BLOCKS.setdefault(key, []).append(weakref.ref(block, lambda dead: _forget(key, dead)))
+        return block
+
+    @property
+    def reference_sorted(self) -> np.ndarray:
+        """The reference as ``(n, d)`` columns (a 1-D one as one column),
+        each sorted: the input of the batched column scorers."""
+        if self._sorted is None:
+            ref = self.reference
+            self._sorted = _read_only(np.sort(ref if ref.ndim == 2 else ref.reshape(-1, 1), axis=0))
+        return self._sorted
+
+    @property
+    def ravel_sorted(self) -> np.ndarray:
+        """The whole reference as one sorted column, for live windows whose
+        columns do not line up with the reference's."""
+        if self._ravel_sorted is None:
+            self._ravel_sorted = _read_only(np.sort(self.reference.ravel()).reshape(-1, 1))
+        return self._ravel_sorted
+
+    def __deepcopy__(self, memo: dict) -> "ReferenceBlock":
+        return self
+
+    def __reduce__(self):
+        return (ReferenceBlock.of, (self.reference,))
+
+
 class StreamingDriftDetector:
     """Base class: holds a reference sample, scores live windows.
 
@@ -409,6 +498,9 @@ class StreamingDriftDetector:
     ``"batched"`` (default) is the vectorized all-columns-at-once
     implementation, ``"oracle"`` the per-column loop it is bit-identical
     to.
+
+    The reference is held as a shared :class:`ReferenceBlock` (``block``);
+    ``reference`` and ``reference_sorted`` are its read-only arrays.
     """
 
     name = "base"
@@ -419,32 +511,23 @@ class StreamingDriftDetector:
         threshold: float,
         engine: Optional[str] = None,
     ) -> None:
-        self.reference = np.asarray(reference, dtype=np.float64)
-        if self.reference.size == 0:
+        if np.size(reference) == 0:
             raise ValueError("reference sample must be non-empty")
+        self.block = ReferenceBlock.of(reference)
         self.threshold = float(threshold)
         self.engine = resolve_engine(engine, owner=f"{type(self).__name__}()")
         self.batched = self.engine == ENGINE_BATCHED
         self.history: List[DriftResult] = []
-        self._ref_sorted: Optional[np.ndarray] = None
-        self._ref_ravel_sorted: Optional[np.ndarray] = None
 
-    # -- batched-path reference caches ----------------------------------
+    @property
+    def reference(self) -> np.ndarray:
+        """The reference sample (read-only, shared through ``block``)."""
+        return self.block.reference
+
     @property
     def reference_sorted(self) -> np.ndarray:
-        """Column-sorted 2-D view of the reference, built once and cached."""
-        if self._ref_sorted is None:
-            ref = self.reference
-            cols = ref if ref.ndim == 2 else ref.reshape(-1, 1)
-            self._ref_sorted = np.sort(cols, axis=0)
-        return self._ref_sorted
-
-    @property
-    def _reference_ravel_sorted(self) -> np.ndarray:
-        """Sorted raveled reference for shape-mismatched live windows."""
-        if self._ref_ravel_sorted is None:
-            self._ref_ravel_sorted = np.sort(self.reference.ravel()).reshape(-1, 1)
-        return self._ref_ravel_sorted
+        """Column-sorted 2-D reference (read-only, shared through ``block``)."""
+        return self.block.reference_sorted
 
     def _live_columns(self, live: np.ndarray) -> Optional[np.ndarray]:
         """The live window as columns matching the reference, or None.
@@ -479,7 +562,7 @@ class StreamingDriftDetector:
         live = np.asarray(live, dtype=np.float64)
         live2 = self._live_columns(live)
         if live2 is None:
-            stats_ = columns_fn(self._reference_ravel_sorted, live.reshape(-1, 1))
+            stats_ = columns_fn(self.block.ravel_sorted, live.reshape(-1, 1))
         else:
             stats_ = columns_fn(self.reference_sorted, live2)
         return float(stats_.max())

@@ -12,7 +12,6 @@ III-B).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -187,22 +186,23 @@ class FleetMonitor:
     correctness never depends on batching):
 
     * devices batch together only when their monitors share the detector
-      configuration, the reference sample (byte-equal), the
-      prediction-monitor configuration and the flattened window shape;
+      configuration, the reference sample (each detector's
+      :class:`~repro.observability.drift.ReferenceBlock`, which is one
+      object per distinct reference bytes), the prediction-monitor
+      configuration and the flattened window shape;
     * KS / PSI / JS detectors in batched mode with column-aligned windows
       are swept in one call; MMD, oracle-mode detectors and
       shape-mismatched windows run per-device;
     * empty windows are skipped entirely (the serving engine never monitors
       a window with zero served queries).
 
-    Monitors are treated as **immutable after construction**: compatibility
-    signatures (detector set, reference digest) are computed once, so
-    mutating a monitor in place afterwards (swapping ``detectors`` entries,
-    rewriting ``detector.reference``) desynchronizes the grouping — replace
-    the monitor and build a new ``FleetMonitor`` instead
-    (:class:`~repro.core.serving.ServingEngine` invalidates its cached
-    instance exactly on such replacement).  A detector *added* in place is
-    tolerated: it simply scores per-device.
+    Compatibility signatures (detector set, reference blocks) are computed
+    once, at construction.  A reference cannot change under them: blocks
+    are read-only.  A monitor whose ``detectors`` entries are *swapped* in
+    place is not regrouped — replace the monitor and build a new
+    ``FleetMonitor`` instead (:class:`~repro.core.serving.ServingEngine`
+    invalidates its cached instance exactly on such replacement).  A
+    detector *added* in place is tolerated: it simply scores per-device.
     """
 
     def __init__(self, monitors: Mapping[str, EdgeMonitor]) -> None:
@@ -214,26 +214,19 @@ class FleetMonitor:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _digest(array: np.ndarray) -> str:
-        return hashlib.blake2b(np.ascontiguousarray(array).tobytes(), digest_size=16).hexdigest()
-
-    def _monitor_signature(self, monitor: EdgeMonitor) -> tuple:
+    def _monitor_signature(monitor: EdgeMonitor) -> tuple:
         """Compatibility key: monitors with equal signatures may stack."""
         det_sig = tuple(
-            (name, type(det).__name__, det.threshold, getattr(det, "bins", None), det.batched)
+            (name, type(det).__name__, det.threshold, getattr(det, "bins", None), det.batched, det.block)
             for name, det in monitor.detectors.items()
         )
-        ref_sig = None
-        if monitor.detectors:
-            ref = next(iter(monitor.detectors.values())).reference
-            ref_sig = (ref.shape, self._digest(ref))
         pm = monitor.prediction_monitor
         pred_sig = (
-            (pm.num_classes, pm.threshold, pm.eps, self._digest(pm.reference_dist))
+            (pm.num_classes, pm.threshold, pm.eps, pm.reference_dist.tobytes())
             if pm is not None
             else None
         )
-        return (det_sig, ref_sig, pred_sig)
+        return (det_sig, pred_sig)
 
     @staticmethod
     def _column_scorer(detector: StreamingDriftDetector):

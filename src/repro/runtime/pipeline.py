@@ -40,13 +40,14 @@ class ConditionalStage:
     if_false: "Pipeline"
 
     def run(self, x: np.ndarray, sandbox: Optional[Sandbox] = None) -> np.ndarray:
+        """Run each sample through its branch; an empty batch runs
+        ``if_false`` on it, so the output still has the branches' shape."""
         mask = np.asarray(self.predicate(x), dtype=bool)
         if mask.shape[0] != x.shape[0]:
             raise ValueError("predicate must return one boolean per sample")
         out_true = self.if_true.run(x[mask], sandbox=sandbox) if mask.any() else None
-        out_false = self.if_false.run(x[~mask], sandbox=sandbox) if (~mask).any() else None
+        out_false = self.if_false.run(x[~mask], sandbox=sandbox) if out_true is None or (~mask).any() else None
         template = out_true if out_true is not None else out_false
-        assert template is not None
         out = np.zeros((x.shape[0],) + template.shape[1:], dtype=template.dtype)
         if out_true is not None:
             out[mask] = out_true

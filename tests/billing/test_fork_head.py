@@ -91,8 +91,23 @@ def test_head_cannot_pass_for_a_ledger():
     for audit in (head.verify_chain, head.export, head.used):
         with pytest.raises(TypeError, match="holds no chain history"):
             audit()
-    with pytest.raises(TypeError, match="holds no chain history"):
-        head.append_segment([])
+
+
+def test_head_rechains_the_segment_of_its_own_fork():
+    """A sandbox that holds heads (the lifecycle canary) serves sharded
+    windows too: its workers meter on a head of the head, and the head takes
+    their segment back exactly as the ledger would."""
+    ledger = _ledger([("vision", 9), ("vision", 9)], [("vision", 5)])
+    in_process = _ledger([("vision", 9), ("vision", 9)], [("vision", 5)])
+    head = ledger.fork_head()
+    worker = pickle.loads(pickle.dumps(head.fork_head()))
+    assert _meter(worker, [("vision", 3), ("vision", 7)]) == _meter(in_process, [("vision", 3), ("vision", 7)])
+    assert head.append_segment(worker.export_segment(0)) == 3
+    with pytest.raises(ValueError):
+        head.append_segment(worker.export_segment(0))  # already chained
+    assert ledger.append_segment(head.export_segment(0)) == 3
+    assert _fields(ledger.entries) == _fields(in_process.entries)
+    assert ledger.__dict__ == in_process.__dict__
 
 
 def test_head_size_does_not_grow_with_history():

@@ -176,6 +176,19 @@ class TestDeterminism:
             reports.append((decision.candidate_metrics, decision.incumbent_metrics, decision.promoted))
         assert reports[0] == reports[1]
 
+    def test_sharded_canary_agrees_with_batched(self):
+        """The sandbox holds ledger heads; a sharded window re-chains its
+        workers' segments onto them and measures what a batched one does."""
+        reports = []
+        for engine in ("batched", "sharded"):
+            platform, train, test, clients = build_world(seed=9)
+            pipeline = build_pipeline(platform, test, clients, canary_engine=engine)
+            decision = pipeline.run_cycle(
+                candidate_model=degraded_candidate(platform.deployed_models["wakeword"], seed=1)
+            )
+            reports.append((decision.candidate_metrics, decision.incumbent_metrics, decision.promoted))
+        assert reports[0] == reports[1]
+
 
 class TestRollback:
     @pytest.mark.parametrize(

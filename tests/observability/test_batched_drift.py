@@ -151,7 +151,7 @@ class TestDetectorEquivalence:
 
     def test_reference_sorted_cached_at_construction(self, rng):
         det = KSDetector(rng.normal(size=(50, 3)))
-        assert det._ref_sorted is not None
+        assert det.block._sorted is not None
         assert np.all(np.diff(det.reference_sorted, axis=0) >= 0)
 
 

@@ -136,6 +136,12 @@ class TestPipeline:
         pipeline = Pipeline([model_module(trained_mlp), softmax_module()], name="clf")
         assert pipeline.run(np.empty((0, 12))).shape == (0, 4)
 
+    def test_empty_window_through_a_cascade_keeps_the_output_width(self, trained_mlp):
+        branch = Pipeline([model_module(trained_mlp), softmax_module()], name="b")
+        stage = ConditionalStage("escalate", predicate=lambda x: x[:, 0] > 0, if_true=branch, if_false=branch)
+        out = Pipeline([stage, argmax_module()]).run(np.empty((0, 12)))
+        assert out.shape == (0,)
+
 
 def _place_on_fleet(orchestrator: Orchestrator, pipeline: Pipeline) -> dict:
     """``place`` on every device of the fleet; success/failure counts."""

@@ -15,8 +15,10 @@ verifier), ``tests/faults/test_durable_io_budget.py`` (syncs per round)
 and ``tests/billing/test_ledger_columns.py`` (≤ 64 B per ledger entry).
 """
 
+import copy
 import gc
 import math
+import pickle
 import sys
 import tracemalloc
 from pathlib import Path
@@ -24,7 +26,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent / "runtime"))
+_HERE = Path(__file__).resolve().parent
+for _path in (_HERE.parent / "src", _HERE / "runtime"):  # src: for ``python -m tests.test_budgets``
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from _sharded_worlds import serving_world  # noqa: E402
 
@@ -105,6 +110,92 @@ def redeploy_runtime_bytes() -> float:
     return (held[1] - held[0]) / (2 * len(platform.fleet))
 
 
+def _held_bytes(build) -> int:
+    """Bytes that what ``build()`` returns still holds after a collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = build()
+        gc.collect()
+        value = tracemalloc.get_traced_memory()[0] - before
+        del held
+    finally:
+        tracemalloc.stop()
+    return value
+
+
+def _monitored_world(n_devices: int):
+    """A released 16-input model on ``Fleet.random(n_devices, seed=7)`` and
+    a 300×16 float32 reference window (float64 inside every detector)."""
+    rng = np.random.default_rng(7)
+    platform = TinyMLOpsPlatform(Fleet.random(n_devices, seed=7))
+    model = make_mlp(16, 4, hidden=(16,), seed=7, name="m")
+    platform.release(model, rng.normal(size=(64, 16)), rng.integers(0, 4, size=64))
+    reference = rng.normal(size=(300, 16)).astype(np.float32)
+    return platform, model, reference
+
+
+def deploy_monitor_bytes() -> float:
+    """Bytes the monitors of one deploy retain per monitored device: the
+    bytes freed by dropping every monitor, over how many there were."""
+    platform, model, reference = _monitored_world(100)
+    predictions = model.predict_classes(reference)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        platform.deploy("m", reference_x=reference, reference_predictions=predictions, num_classes=4)
+        gc.collect()
+        held, n = tracemalloc.get_traced_memory()[0], len(platform.monitors)
+        platform.monitors.clear()
+        gc.collect()
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained / n
+
+
+def _monitors(n: int):
+    """``n`` KS + PSI monitors with output-drift checks, from one 300×16 reference."""
+    rng = np.random.default_rng(7)
+    reference, predictions = rng.normal(size=(300, 16)), rng.integers(0, 4, size=300)
+    return {f"dev-{i}": EdgeMonitor(f"dev-{i}", reference, reference_predictions=predictions, num_classes=4)
+            for i in range(n)}
+
+
+def monitor_deepcopy_bytes() -> float:
+    """Bytes ``copy.deepcopy`` of one monitor holds (the canary's copy)."""
+    monitor = _monitors(1)["dev-0"]
+    return _held_bytes(lambda: copy.deepcopy(monitor))
+
+
+def shard_monitor_payload_bytes() -> float:
+    """Pickled size of 15 monitors built from one reference: what a sharded
+    serving window ships each way per shard for its monitors."""
+    return len(pickle.dumps(_monitors(15)))
+
+
+def sandbox_bytes_per_device(entries: int) -> float:
+    """Bytes ``LifecyclePipeline._sandbox`` holds per canary device, over 8
+    monitored devices whose ledgers hold ``entries`` entries each."""
+    platform, model, reference = _monitored_world(12)
+    predictions = model.predict_classes(reference)
+    platform.deploy("m", reference_x=reference, reference_predictions=predictions, num_classes=4,
+                    prepaid_queries=10**6)
+    canary = sorted(platform.monitors)[:8]
+    for device_id in canary:
+        for _ in range(entries):
+            platform.ledgers[device_id].record_batch("m", 1)
+    pipeline = platform.lifecycle("m", [], (reference, predictions))
+    return _held_bytes(lambda: pipeline._sandbox(canary, model)) / len(canary)
+
+
+def canary_sandbox_bytes() -> float:
+    """The larger of the sandbox's bytes per device over 10- and
+    1 000-entry ledgers: one bound holds for both."""
+    return max(sandbox_bytes_per_device(10), sandbox_bytes_per_device(1000))
+
+
 # The per-device dict of five-key dicts the count block replaced read 199.5
 # (dense) and 234.2 (sparse) here; a block keyed by fleet row, padded up to
 # the highest row served, read 48.1 dense but 320 067.6 sparse.
@@ -116,6 +207,15 @@ BYTE_BUDGETS = [
     # here: every redeploy appended a decision and a name per device.
     ("runtime-redeploy", "Fleet.random(400, seed=7), one model deployed 4 times", 0.0, 0,
      redeploy_runtime_bytes),
+    # With a private reference and sorted copy per detector these read
+    # 80 275.3, 121 336, 1 740 535 and 137 532.4 (86 080.4 on 10 entries).
+    ("monitors-after-deploy", "Fleet.random(100, seed=7), 300x16 reference, per monitored device", 3713.3,
+     4642, deploy_monitor_bytes),
+    ("monitor-deepcopy", "one KS + PSI monitor, 300x16 reference", 5880.0, 7350, monitor_deepcopy_bytes),
+    ("shard-monitor-payload", "pickle of 15 KS + PSI monitors, one 300x16 reference", 49619.0, 62024,
+     shard_monitor_payload_bytes),
+    ("canary-sandbox", "8 canary devices of Fleet.random(12, seed=7), 10- and 1 000-entry ledgers, per device",
+     7604.4, 9506, canary_sandbox_bytes),
 ]
 
 
@@ -136,3 +236,13 @@ def test_batched_window_reads_drift_once_per_monitor(counted):
     report = engine.serve_fleet("m", windows)
     assert calls == {"any_drift": len(engine.monitors)}
     assert report.devices_with_drift == sum(m.any_drift() for m in engine.monitors.values())
+
+
+if __name__ == "__main__":
+    # ``python -m tests.test_budgets``: each row measured beside its bound,
+    # the number a change that shrinks a structure tightens the bound to.
+    print(f"{'structure':<24} {'measured':>12} {'recorded':>12} {'bound':>10}  scenario")
+    for structure, scenario, measured, bound, measure in BYTE_BUDGETS:
+        value = measure()
+        flag = "" if value <= bound else "  OVER"
+        print(f"{structure:<24} {value:>12.1f} {measured:>12.1f} {bound:>10}  {scenario}{flag}")
