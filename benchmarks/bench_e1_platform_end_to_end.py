@@ -29,6 +29,7 @@ from repro.nn import make_mlp
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "core"))
 from test_deploy_by_class import (  # noqa: E402
     _deploy_per_device,
+    _reselect_per_device,
     assert_summaries_equal,
     assert_twins_equal,
     build_platform,
@@ -256,25 +257,30 @@ def test_e1_deploy_by_class(benchmark, smoke_mode, bench_model, bench_task):
 
     Twin platforms over a 400-device fleet (60 in smoke mode) roll the same
     release out, one through ``platform.deploy`` — select once per distinct
-    (profile, link, policy), lower + compile once per distinct (variant,
-    profile) — and one through the parent commit's per-device loop, kept as
-    the oracle in ``tests/core/test_deploy_by_class.py``.  Summary, grants,
-    registry and every other byte a deploy writes must be identical; compile
-    runs at most once per (variant, profile).  The ≥3x guardrail is asserted
-    outside smoke mode (a 60-device fleet has ~25 classes: too few devices
-    per class for the ratio to mean anything), best of three fresh twins.
+    (profile, link, policy) from the fleet's columns, lower + compile and
+    place once per distinct (variant, profile) — and one through the parent
+    commit's per-device loop, kept as the oracle in
+    ``tests/core/test_deploy_by_class.py``.  Summary, grants, registry and
+    every other byte a deploy writes must be identical; compile and place run
+    at most once per (variant, profile).  ``promote_model``'s re-selection
+    (``_select_by_class``) is timed the same way against the per-device
+    ``_reselect_per_device``, and both twins are then promoted and compared
+    again.  The ≥3x guardrail is asserted on deploy outside smoke mode (a
+    60-device fleet has ~25 classes: too few devices per class for the ratio
+    to mean anything), best of three fresh twins.
     """
     n_devices = 60 if smoke_mode else 400
     _, test = bench_task
     name = bench_model.name
 
     def scenario():
-        t_class, t_device = [], []
+        t_class, t_device, r_class, r_device = [], [], [], []
         for _ in range(3):
             by_class, per_device = (
                 build_platform(Fleet.random(n_devices, seed=0), bench_model, test.x, test.y) for _ in range(2)
             )
             compiles = count_calls(by_class.compiler, "compile")
+            places = count_calls(by_class.orchestrator, "place")
             t0 = time.perf_counter()
             summary = by_class.deploy(name, prepaid_queries=500)
             t_class.append(time.perf_counter() - t0)
@@ -283,21 +289,44 @@ def test_e1_deploy_by_class(benchmark, smoke_mode, bench_model, bench_task):
             t_device.append(time.perf_counter() - t0)
             assert_summaries_equal(summary, oracle_summary)
             assert_twins_equal(by_class, per_device)
+
+            ids = list(by_class.fleet.devices)
+            t0 = time.perf_counter()
+            chosen = by_class._select_by_class(by_class.variants[name], by_class.fleet.rows_for(ids))
+            r_class.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            oracle_reselect = _reselect_per_device(per_device, name, ids)
+            r_device.append(time.perf_counter() - t0)
+            reselect = {}
+            for variant in filter(None, chosen):
+                reselect[variant.name] = reselect.get(variant.name, 0) + 1
+            assert list(reselect.items()) == list(oracle_reselect.items())
+            audits = []
+            for platform in (by_class, per_device):
+                version = platform.registry.latest(name, kind="base").version_id
+                audits.append(platform.promote_model(name, platform.deployed_models[name], version))
+            assert audits[0] == audits[1] and audits[0]["per_variant"] == oracle_reselect
+            assert_twins_equal(by_class, per_device)
         targets = {(d.installed[name].version, d.profile) for d in by_class.fleet}
         return {
             "n_devices": n_devices,
             "deployed": summary["deployed"],
             "compile_calls": len(compiles),
+            "place_calls": len(places),
             "variant_profile_pairs": len(targets),
             "by_class_s": min(t_class),
             "per_device_s": min(t_device),
             "speedup": min(t_device) / max(min(t_class), 1e-12),
             "devices_per_s_by_class": n_devices / max(min(t_class), 1e-12),
+            "reselect_by_class_s": min(r_class),
+            "reselect_per_device_s": min(r_device),
+            "reselect_speedup": min(r_device) / max(min(r_class), 1e-12),
         }
 
     result = benchmark.pedantic(scenario, rounds=1, iterations=1)
     assert result["deployed"] == n_devices
     assert result["compile_calls"] <= result["variant_profile_pairs"]
+    assert result["place_calls"] <= result["variant_profile_pairs"]
     if not smoke_mode:
         assert result["speedup"] >= 3.0, f"deploy by class only {result['speedup']:.1f}x the per-device loop"
     benchmark.extra_info.update(result)

@@ -38,6 +38,7 @@ class BillingBackend:
 
     def __init__(self, master_key: bytes = b"tinymlops-billing-master") -> None:
         self._master_key = bytes(master_key)
+        self._signing_key = hmac.new(self._master_key, b"grant-signing", hashlib.sha256).digest()
         self.plans: Dict[str, PricingPlan] = {}
         self.device_keys: Dict[str, bytes] = {}
         self.issued_grants: Dict[str, QuotaGrant] = {}
@@ -64,7 +65,7 @@ class BillingBackend:
 
     def signing_key(self) -> bytes:
         """Key used to sign quota grants (shared with devices for verification)."""
-        return hmac.new(self._master_key, b"grant-signing", hashlib.sha256).digest()
+        return self._signing_key
 
     # -- sales --------------------------------------------------------------
     def sell_package(self, device_id: str, model_name: str, n_queries: int) -> QuotaGrant:

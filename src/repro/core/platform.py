@@ -7,9 +7,9 @@ end-to-end workflows a platform user would call:
 
 * :meth:`release`   — register a trained model and stamp out optimized
   variants (Section III-A: version management + optimization pipeline).
-* :meth:`deploy`    — select a variant per device context and compile it for
-  the device profile — once per distinct class of device, not once per
-  device — then, per device, install it, record the deployment, attach a
+* :meth:`deploy`    — select a variant per device context, compile it for
+  the device profile and place it — once per distinct class of device, not
+  once per device — then, per device, record the deployment, attach a
   monitor and sell the prepaid package (Sections III-A, IV).
 * :meth:`serve`     — simulate production traffic on a device: metering
   (III-C), telemetry + drift monitoring (III-B), battery accounting.
@@ -24,12 +24,12 @@ end-to-end workflows a platform user would call:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.billing import BillingBackend, PricingPlan, UsageLedger
-from repro.devices import CostModel, DeviceProfile, EdgeDevice, Fleet, NetworkCondition
+from repro.devices import CostModel, DeviceProfile, Fleet
 from repro.exchange import CompilationError, Compiler, from_sequential
 from repro.federated import (
     EligibilityScheduler,
@@ -46,7 +46,7 @@ from repro.registry import ModelRegistry, OptimizationPipeline, TriggerManager
 from repro.runtime import Orchestrator, Pipeline, model_module, softmax_module
 from repro.verification import TranscriptVerifier, VerifiableExecutor
 
-from .selection import ModelSelector, SelectionPolicy
+from .selection import ModelSelector
 from .serving import FleetServeReport, ServingEngine
 
 __all__ = ["PlatformConfig", "TinyMLOpsPlatform"]
@@ -145,28 +145,33 @@ class TinyMLOpsPlatform:
         }
 
     # ------------------------------------------------------------------
-    # deploy: per-class selection + compilation, per-device installation
-    # (Sec. III-A, IV)
+    # deploy: per-class selection, compilation and placement, per-device
+    # records (Sec. III-A, IV)
     # ------------------------------------------------------------------
-    def _select_by_class(self, variants: Sequence[ModelVariant]) -> Callable[[EdgeDevice], Optional[ModelVariant]]:
-        """``device -> chosen variant``, running ``select`` once per device class.
+    def _select_by_class(self, variants: Sequence[ModelVariant], rows: np.ndarray) -> List[Optional[ModelVariant]]:
+        """The chosen variant for each fleet row of ``rows``, one ``select`` per class.
 
-        The class is everything :meth:`ModelSelector.select` reads besides
-        ``variants`` (its purity contract): profile, policy and the *whole*
-        :class:`NetworkCondition` — ``transfer_time`` reads bandwidth and
-        latency, not ``kind``.  The memo dies with the caller's call.
+        One pass over the rows reads the fleet's columns: the profile code, the
+        five link columns and ``policy_for_context`` of the row's
+        :meth:`FleetState.context_rows <repro.devices.state.FleetState.context_rows>`
+        dict.  That triple is everything :meth:`ModelSelector.select` reads
+        besides ``variants`` (its purity contract) — the *whole* link, since
+        ``transfer_time`` reads bandwidth and latency, not ``kind`` — so
+        ``select`` runs once per distinct triple, on the first row's profile
+        and link.  The memo dies with the call.
         """
-        chosen_for: Dict[Tuple[DeviceProfile, NetworkCondition, SelectionPolicy], Optional[ModelVariant]] = {}
-
-        def select(device: EdgeDevice) -> Optional[ModelVariant]:
-            network = device.network
-            policy = self.selector.policy_for_context(device.context())
-            key = (device.profile, network, policy)
-            if key not in chosen_for:
-                chosen_for[key] = self.selector.select(variants, device.profile, network=network, policy=policy).chosen
-            return chosen_for[key]
-
-        return select
+        state = self.fleet.state
+        columns = (state.profile_idx, state.net_kind, state.net_bandwidth_bps, state.net_latency_s,
+                   state.net_cost_per_mb, state.net_metered)
+        chosen_for: Dict[tuple, Optional[ModelVariant]] = {}
+        chosen: List[Optional[ModelVariant]] = []
+        profile_and_link = zip(*(column[rows].tolist() for column in columns))
+        for row, cls, context in zip(rows.tolist(), profile_and_link, state.context_rows(rows)):
+            policy = self.selector.policy_for_context(context)
+            if (cls, policy) not in chosen_for:
+                chosen_for[cls, policy] = self.selector.select(variants, state.profile_at(row), network=state.network_at(row), policy=policy).chosen
+            chosen.append(chosen_for[cls, policy])
+        return chosen
 
     def deploy(
         self,
@@ -179,22 +184,24 @@ class TinyMLOpsPlatform:
     ) -> Dict[str, object]:
         """Roll the released model out to ``device_ids`` (default: the fleet).
 
-        Devices are visited one by one in the given order (an empty selection
-        deploys to nobody), but what is a pure function of a device's *class*
-        is built once per class and shared by reference: the variant is
-        selected once per distinct ``(profile, network, policy)``
-        (:meth:`_select_by_class`) and lowered, compiled and wrapped in its
-        pipeline once per distinct ``(chosen variant, profile)`` — 36 and
-        ≤ 12 on a 400-device random fleet.  A class with no feasible variant,
-        or whose compile raises :class:`~repro.exchange.CompilationError`,
-        fails every one of its devices; any other exception propagates.
+        What is a pure function of a device's *class* is done once per class
+        (an empty selection deploys to nobody): the variant is selected once
+        per distinct ``(profile, link, policy)`` (:meth:`_select_by_class`),
+        lowered, compiled and wrapped in its pipeline once per distinct
+        ``(chosen variant, profile)`` — 36 and ≤ 12 on a 400-device random
+        fleet — and each pipeline is placed by one
+        :meth:`Orchestrator.place <repro.runtime.Orchestrator.place>` call
+        over its devices, which share one installed artifact.  Placement
+        still decides per device (free flash and sandboxes differ).  A class
+        with no feasible variant, or whose compile raises
+        :class:`~repro.exchange.CompilationError`, fails every one of its
+        devices; any other exception propagates before any device is touched.
 
-        Per-device state and order-dependent side effects stay per device:
-        placement (free flash differs), the registry record, the monitor,
-        enrolment and the grant (ids number grants in call order), the order
-        of ``failures``.  Nothing is cached across calls: weights
-        (``federated_update``), the variant set (``promote_model``), links
-        and batteries all move between them.
+        Only the order-dependent effects run per device, in target order:
+        the registry record, the monitor, enrolment and the grant (ids number
+        grants in call order) and the order of ``failures``.  Nothing is
+        cached across calls: weights (``federated_update``), the variant set
+        (``promote_model``), links and batteries all move between them.
         """
         if model_name not in self.variants:
             raise KeyError(f"model {model_name!r} has not been released")
@@ -202,53 +209,58 @@ class TinyMLOpsPlatform:
         # Deploy the production-staged version when the lifecycle has promoted
         # one; otherwise (no lifecycle in play) the newest base.
         version = self.registry.production(model_name) or self.registry.latest(model_name, kind="base")
-        targets = [self.fleet.get(d) for d in device_ids] if device_ids is not None else list(self.fleet)
-        per_variant: Dict[str, int] = {}
-        failures: List[str] = []
-        select = self._select_by_class(variants)
-        # (id(chosen variant), profile) -> the shared pipeline, or None when the
-        # pair does not compile; ``variants`` outlives the loop, so ids are stable.
-        pipelines: Dict[Tuple[int, DeviceProfile], Optional[Pipeline]] = {}
-        backend_key = self.billing.signing_key()
-        for device in targets:
-            chosen = select(device)
-            if chosen is None:
-                failures.append(device.device_id)
+        ids = list(self.fleet.devices) if device_ids is None else list(device_ids)
+        rows = self.fleet.rows_for(ids)
+        chosen = self._select_by_class(variants, rows)
+        # (id(chosen variant), profile) -> its pipeline (None when the pair does
+        # not compile) and the target positions it goes to; ``variants``
+        # outlives the call, so ids are stable.
+        groups: Dict[Tuple[int, DeviceProfile], Tuple[Optional[Pipeline], List[int]]] = {}
+        for i, (row, variant) in enumerate(zip(rows.tolist(), chosen)):
+            if variant is None:
                 continue
-            target = (id(chosen), device.profile)
-            if target not in pipelines:
-                graph = from_sequential(chosen.model)
+            profile = self.fleet.state.profile_at(row)
+            target = (id(variant), profile)
+            if target not in groups:
                 try:
                     # A feasibility gate: the artifact itself is not kept.
-                    self.compiler.compile(graph, device.profile, bits=chosen.bits)
+                    self.compiler.compile(from_sequential(variant.model), profile, bits=variant.bits)
                 except CompilationError:
-                    pipelines[target] = None
+                    pipeline = None
                 else:
-                    pipelines[target] = Pipeline([model_module(chosen.model, bits=chosen.bits), softmax_module()], name=model_name, version=chosen.name)
-            pipeline = pipelines[target]
-            if pipeline is None or not self.orchestrator.place(pipeline, [device.device_id])[0].placed:
-                failures.append(device.device_id)
+                    pipeline = Pipeline([model_module(variant.model, bits=variant.bits), softmax_module()], name=model_name, version=variant.name)
+                groups[target] = (pipeline, [])
+            groups[target][1].append(i)
+        placed = [False] * len(ids)
+        for pipeline, positions in groups.values():
+            if pipeline is not None:
+                decisions = self.orchestrator.place(pipeline, [ids[i] for i in positions])
+                for i, decision in zip(positions, decisions):
+                    placed[i] = decision.placed
+        per_variant: Dict[str, int] = {}
+        failures: List[str] = []
+        backend_key = self.billing.signing_key()
+        for device_id, variant, ok in zip(ids, chosen, placed):
+            if not ok:
+                failures.append(device_id)
                 continue
-            per_variant[chosen.name] = per_variant.get(chosen.name, 0) + 1
-            self.registry.record_deployment(device.device_id, version.version_id)
+            per_variant[variant.name] = per_variant.get(variant.name, 0) + 1
+            self.registry.record_deployment(device_id, version.version_id)
             # Observability: per-device monitor seeded with reference data.
             if reference_x is not None:
-                self.monitors[device.device_id] = EdgeMonitor(
-                    device.device_id,
+                self.monitors[device_id] = EdgeMonitor(
+                    device_id,
                     reference_x,
                     reference_predictions=reference_predictions,
                     num_classes=num_classes,
                     detectors=self.config.telemetry_detectors,
-                    model_version=chosen.name,
+                    model_version=variant.name,
                 )
             # Billing: enroll and sell the initial prepaid package.
-            key = self.billing.enroll_device(device.device_id)
-            ledger = UsageLedger(device.device_id, key)
-            ledger.add_grant(
-                self.billing.sell_package(device.device_id, model_name, prepaid_queries),
-                backend_key=backend_key,
-            )
-            self.ledgers[device.device_id] = ledger
+            key = self.billing.enroll_device(device_id)
+            ledger = UsageLedger(device_id, key)
+            ledger.add_grant(self.billing.sell_package(device_id, model_name, prepaid_queries), backend_key=backend_key)
+            self.ledgers[device_id] = ledger
         if per_variant:
             # Server-side compiled plan for the fleet-scale serving path:
             # platform.serve / serve_fleet execute this plan instead of the
@@ -443,8 +455,9 @@ class TinyMLOpsPlatform:
         trail), and the version is staged ``production`` (retiring its
         predecessor).
 
-        Re-selection visits every deployed device but runs ``select`` once
-        per device class (:meth:`_select_by_class`, as :meth:`deploy` does),
+        Re-selection is one pass over the deployed devices' fleet columns
+        that runs ``select`` once per device class (:meth:`_select_by_class`,
+        as :meth:`deploy` does), against the links and batteries of now,
         memoised for this call only: the variant set was just replaced.
         """
         self.deployed_models[model_name] = model
@@ -468,9 +481,7 @@ class TinyMLOpsPlatform:
             if device_id in self.fleet.devices
             and self.registry.deployed_version(device_id, model_name) is not None
         )
-        select = self._select_by_class(self.variants.get(model_name, []))
-        for device_id in deployed_ids:
-            chosen = select(self.fleet.get(device_id))
+        for chosen in self._select_by_class(self.variants.get(model_name, []), self.fleet.rows_for(deployed_ids)):
             if chosen is not None:
                 per_variant[chosen.name] = per_variant.get(chosen.name, 0) + 1
         previous = self.registry.flip_deployments(deployed_ids, version_id)

@@ -35,9 +35,13 @@ from .state import BatteryView, FleetState
 __all__ = ["EdgeDevice", "Fleet", "InstalledArtifact"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstalledArtifact:
-    """A model (or pipeline) artifact currently installed on a device."""
+    """A model (or pipeline) artifact currently installed on a device.
+
+    Immutable: one placement installs the same object on every device it
+    places, and an update installs a new one in its place.
+    """
 
     artifact_id: str
     version: str

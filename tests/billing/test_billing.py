@@ -53,6 +53,29 @@ class TestPricingAndGrants:
         forged = QuotaGrant(grant.grant_id, grant.device_id, grant.model_name, 10**6, grant.signature)
         assert not forged.verify(backend.signing_key())
 
+    def test_signing_key_is_derived_once_from_the_master_key(self, monkeypatch):
+        # The grant-signing key is HMAC(master, "grant-signing"), derived when
+        # the backend is built: selling grants runs no further derivation.
+        master = b"a-test-master-key"
+        backend = BillingBackend(master_key=master)
+        assert backend.signing_key() == hmac.new(master, b"grant-signing", hashlib.sha256).digest()
+        assert BillingBackend().signing_key() == hmac.new(
+            b"tinymlops-billing-master", b"grant-signing", hashlib.sha256
+        ).digest()
+        backend.register_plan(PricingPlan("vision"))
+        backend.enroll_device("dev-1")
+        messages = []
+        real_new = hmac.new
+
+        def new(key, msg=None, digestmod=""):
+            messages.append(msg)
+            return real_new(key, msg, digestmod)
+
+        monkeypatch.setattr(hmac, "new", new)
+        grants = [backend.sell_package("dev-1", "vision", 10) for _ in range(3)]
+        assert len(messages) == 3 and b"grant-signing" not in messages  # one grant MAC each
+        assert all(g.verify(backend.signing_key()) for g in grants)
+
     def test_selling_requires_enrollment_and_plan(self):
         backend = BillingBackend()
         backend.register_plan(PricingPlan("vision"))

@@ -360,6 +360,72 @@ class TestHandcraftedFleets:
             ("dev-0", True), ("dev-1", True), ("dev-2", False), ("dev-3", True)
         ]
 
+    def test_repeated_device_ids_deploy_twice_in_place(self, trained_mlp, blobs):
+        # A repeated id sits in its class's placement group twice: the second
+        # placement replaces the first, and each occurrence sells its grant.
+        train, test = blobs
+        twins = _twins(lambda: Fleet.random(12, seed=4), trained_mlp, test)
+        ids = list(twins[0].fleet.devices)
+        order = [ids[3], ids[0], ids[3], ids[7], ids[0], ids[3]]
+        first, second = _drive_twins(
+            twins,
+            test,
+            [dict(device_ids=order, prepaid_queries=30), dict(device_ids=order[::-1], **_monitoring(trained_mlp, train))],
+        )
+        assert first["deployed"] == second["deployed"] == len(order)
+        assert list(twins[0].ledgers) == [ids[3], ids[0], ids[7]]
+        assert len(twins[0].billing.issued_grants) == 2 * len(order)
+        sizes = {ids[k]: twins[0].fleet.get(ids[k]).installed[MODEL].size_bytes for k in (0, 3, 7)}
+        assert all(twins[0].fleet.get(d).profile.flash_bytes - twins[0].fleet.get(d).free_flash() == size
+                   for d, size in sizes.items())
+
+    def test_sandbox_refuses_one_device_of_a_placed_class(self, trained_mlp, blobs):
+        # One placement call covers the class, but its verdict is per device:
+        # a sandbox without ``compute`` refuses only its own device.
+        _, test = blobs
+
+        def make_fleet():
+            return Fleet([_device(f"dev-{i}") for i in range(5)])
+
+        twins = _twins(make_fleet, trained_mlp, test)
+        for platform in twins:
+            platform.orchestrator.grant_capabilities("dev-1", ("compute",))
+            platform.orchestrator.grant_capabilities("dev-3", ("network",))
+        assert len(selection_classes(twins[0])) == 1
+        (summary,) = _drive_twins(twins, test, [dict(device_ids=["dev-4", "dev-3", "dev-2", "dev-1", "dev-0"])])
+        assert summary["failures"] == ["dev-3"] and summary["deployed"] == 4
+        assert [MODEL in d.installed for d in twins[0].fleet] == [True, True, True, False, True]
+
+    def test_promote_reselects_on_links_and_batteries_of_now(self, trained_mlp, blobs):
+        # Deploy, then move some links and batteries on both twins: promote's
+        # re-selection reads the fleet as it is, as the per-device loop did.
+        _, test = blobs
+        twins = _twins(lambda: Fleet.random(40, seed=8), trained_mlp, test)
+        by_class, per_device = twins
+        assert_summaries_equal(by_class.deploy(MODEL), _deploy_per_device(per_device, MODEL))
+        ids = list(by_class.fleet.devices)
+        slow = NetworkCondition.of("wifi", bandwidth_bps=2e3)
+        capacity = get_profile("phone-mid").battery_capacity_j
+        before = selection_classes(by_class)
+        for platform in twins:
+            for device_id in ids[::3]:
+                platform.fleet.get(device_id).network = slow
+            for device_id in ids[1::4]:
+                device = platform.fleet.get(device_id)
+                device.battery = Battery(capacity_j=capacity, level_j=0.05 * capacity)
+            for device_id in ids[2::5]:
+                device = platform.fleet.get(device_id)
+                device.battery = Battery(capacity_j=capacity, plugged_in=True)
+        assert selection_classes(by_class) != before
+        audits = []
+        for platform in twins:
+            candidate, version_id = _candidate(platform)
+            audit = platform.promote_model(MODEL, candidate, version_id, x_eval=test.x, y_eval=test.y)
+            assert _ordered(audit["per_variant"]) == _ordered(_reselect_per_device(platform, MODEL, audit["flipped_devices"]))
+            audits.append(audit)
+        assert audits[0] == audits[1] and len(audits[0]["flipped_devices"]) == 40
+        assert_twins_equal(by_class, per_device)
+
     def test_monitored_redeploy_of_a_subset(self, trained_mlp, blobs):
         train, test = blobs
         twins = _twins(lambda: Fleet.random(30, seed=11), trained_mlp, test)

@@ -167,10 +167,11 @@ class TestOrchestration:
         assert result["placed"] == 0 and result["failed"] == 5
 
     def test_update_may_use_the_bytes_it_replaces(self):
-        # Regression: can_place checked the new size against *free* flash
+        # Regression: placement checked the new size against *free* flash
         # while EdgeDevice.install replaces a same-id artifact and counts the
         # bytes it frees, so every OTA update of a model filling more than
-        # half of what was left was refused "insufficient storage".
+        # half of what was left was refused "insufficient storage".  The
+        # storage check now lives in ``place`` itself; this drives it there.
         fleet = Fleet.random(1, mix={"mcu-m0": 1.0}, seed=1)
         device = next(iter(fleet))
         device.install(InstalledArtifact("filler", "1", size_bytes=device.free_flash() - 7134))
@@ -227,6 +228,23 @@ class TestOrchestration:
             artifact = device.installed["wake"]
             assert artifact.version == "2.0" and artifact.size_bytes == pipeline.size_bytes()
             assert artifact.metadata == pipeline.manifest()
+
+    def test_one_placement_shares_one_immutable_artifact(self, trained_mlp):
+        fleet = Fleet.random(2, seed=9)
+        first, second = fleet
+        flash = [first.free_flash(), second.free_flash()]
+        pipeline = Pipeline([model_module(trained_mlp), argmax_module()], name="wake", version="1.0")
+        Orchestrator(fleet).place(pipeline, [first.device_id, second.device_id])
+        shared = first.installed["wake"]
+        assert second.installed["wake"] is shared
+        with pytest.raises(AttributeError):
+            shared.version = "tampered"
+        # An update of one device installs a new object; the other keeps its own.
+        update = Pipeline([Module("clf", fn=lambda x: x, size_bytes=64)], name="wake", version="2.0")
+        assert Orchestrator(fleet).place(update, [first.device_id])[0].placed
+        assert first.installed["wake"].version == "2.0" and first.free_flash() == flash[0] - 64
+        assert second.installed["wake"] is shared and shared.version == "1.0"
+        assert list(second.installed) == ["wake"] and second.free_flash() == flash[1] - pipeline.size_bytes()
 
 
 class TestOffloading:

@@ -35,9 +35,11 @@ from _sharded_worlds import serving_world  # noqa: E402
 
 from repro.core import TinyMLOpsPlatform  # noqa: E402
 from repro.core.serving import ServingEngine  # noqa: E402
-from repro.devices import Fleet  # noqa: E402
+from repro.devices import EdgeDevice, Fleet  # noqa: E402
+from repro.exchange import Compiler  # noqa: E402
 from repro.nn import make_mlp  # noqa: E402
 from repro.observability import EdgeMonitor  # noqa: E402
+from repro.runtime import Orchestrator  # noqa: E402
 
 
 def _windows(seed: int, n_devices: int, n_windows: int):
@@ -84,18 +86,42 @@ def sparse_report_bytes() -> float:
     return _report_bytes_per_device_window(engine, windows)
 
 
+_RUNTIME_ONLY = [tracemalloc.Filter(True, "*/repro/runtime/*")]
+
+
+def _released_on_400():
+    """A released 8-input model on ``Fleet.random(400, seed=7)``."""
+    rng = np.random.default_rng(7)
+    platform = TinyMLOpsPlatform(Fleet.random(400, seed=7))
+    platform.release(make_mlp(8, 4, hidden=(16,), seed=7, name="m"), rng.normal(size=(64, 8)),
+                     rng.integers(0, 4, size=64))
+    return platform
+
+
+def deploy_runtime_bytes() -> float:
+    """Bytes ``repro/runtime/`` retains per device after one deploy on a
+    400-device fleet: what the installed artifacts hold."""
+    platform = _released_on_400()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        platform.deploy("m")
+        gc.collect()
+        held = sum(t.size for t in tracemalloc.take_snapshot().filter_traces(_RUNTIME_ONLY).traces)
+    finally:
+        tracemalloc.stop()
+    return held / len(platform.fleet)
+
+
 def redeploy_runtime_bytes() -> float:
     """Bytes ``repro/runtime/`` retains per device for each redeploy of one
     model on a 400-device fleet.  tracemalloc runs from before the first of
     four deploys; the row reads the growth from the second deploy to the
     fourth, because the first redeploy, replacing each device's first
-    install, releases a one-off 2.6 KB.  Billing's growth per redeploy (the
-    grants it sells) is by design and not counted here."""
-    rng = np.random.default_rng(7)
-    platform = TinyMLOpsPlatform(Fleet.random(400, seed=7))
-    platform.release(make_mlp(8, 4, hidden=(16,), seed=7, name="m"), rng.normal(size=(64, 8)),
-                     rng.integers(0, 4, size=64))
-    runtime_only = [tracemalloc.Filter(True, "*/repro/runtime/*")]
+    install, releases the first deploy's artifacts once.  Billing's growth
+    per redeploy (the grants it sells) is by design and not counted here."""
+    platform = _released_on_400()
+    runtime_only = _RUNTIME_ONLY
     gc.collect()
     tracemalloc.start()
     try:
@@ -207,6 +233,9 @@ BYTE_BUDGETS = [
     # here: every redeploy appended a decision and a name per device.
     ("runtime-redeploy", "Fleet.random(400, seed=7), one model deployed 4 times", 0.0, 0,
      redeploy_runtime_bytes),
+    # A fresh artifact and manifest per device read 474.5 here; one shared
+    # artifact per placement call leaves the ≤ 12 a deploy builds.
+    ("runtime-deploy", "Fleet.random(400, seed=7), one deploy, per device", 13.0, 17, deploy_runtime_bytes),
     # With a private reference and sorted copy per detector these read
     # 80 275.3, 121 336, 1 740 535 and 137 532.4 (86 080.4 on 10 entries).
     ("monitors-after-deploy", "Fleet.random(100, seed=7), 300x16 reference, per monitored device", 3713.3,
@@ -225,6 +254,21 @@ def test_retained_bytes_within_budget(structure, scenario, measured, bound, meas
     assert bound == math.ceil(measured * 1.25)
     value = measure()
     assert value <= bound, f"{structure} on {scenario}: {value:.1f} B > {bound} B"
+
+
+def test_deploy_places_once_per_pipeline_and_reads_no_device_context(counted):
+    """A deploy calls ``Orchestrator.place`` once per compiled pipeline, and
+    every device a call places holds that call's one artifact; selection
+    reads the fleet's columns, never ``EdgeDevice.context``.  The per-device
+    loop this replaced read 400 place and 400 context calls here."""
+    count, calls = counted
+    platform = _released_on_400()
+    for owner, name in ((Orchestrator, "place"), (Compiler, "compile"), (EdgeDevice, "context")):
+        count(owner, name)
+    summary = platform.deploy("m")
+    artifacts = {id(d.installed["m"]) for d in platform.fleet}
+    assert summary["deployed"] == 400
+    assert calls == {"place": len(artifacts), "compile": len(artifacts), "context": 0}
 
 
 def test_batched_window_reads_drift_once_per_monitor(counted):
